@@ -5,9 +5,11 @@ at least one beep" — a neighborhood aggregation against a *fixed*
 adjacency.  :class:`GraphStructure` bundles every derived form of that
 adjacency the hear kernels consume:
 
-* ``csr`` — the canonical int32 CSR matrix (identical, entry for entry,
-  to :func:`repro.graphs.io.to_sparse_adjacency`; the symmetric matrix
-  doubles as its own transpose, so ``csr_t is csr``).
+* ``edge_array`` / ``csr`` / ``digest`` — adopted from the
+  :class:`~repro.graphs.graph.Graph`, which builds its canonical edge
+  array and int32 CSR arrays once at construction; the CSR matrix wraps
+  them without a copy (the symmetric matrix doubles as its own
+  transpose, so ``csr_t is csr``).
 * ``dense`` — the boolean dense matrix (small/dense graphs).
 * ``packed`` — rows packed into uint64 words (64 adjacency bits per
   word) for the bitset kernel.
@@ -30,7 +32,6 @@ drops the ``writeable`` flag on attached arrays).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional, Union
@@ -39,7 +40,7 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from ...graphs.graph import Graph
+from ...graphs.graph import Graph, csr_arrays, edge_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...graphs.mutable import TopologyDelta
@@ -68,10 +69,11 @@ class GraphStructure:
 
     def __init__(self, graph: Optional[Graph]):
         self.graph = graph
+        self._edge_array: Optional[npt.NDArray[np.int64]] = None
         if graph is not None:
             self.n = graph.num_vertices
             self.num_edges = graph.num_edges
-        self._edge_array: Optional[npt.NDArray[np.int64]] = None
+            self._edge_array = graph.edge_array
         self._csr: Optional[sp.csr_matrix] = None
         self._dense: Optional[npt.NDArray[np.bool_]] = None
         self._packed: Optional[npt.NDArray[np.uint64]] = None
@@ -97,39 +99,33 @@ class GraphStructure:
     def edge_array(self) -> npt.NDArray[np.int64]:
         """Canonical ``(m, 2)`` int64 edge array (sorted, u < v).
 
-        Present for graph-keyed structures (built lazily from the
-        Graph's edge tuple) and for incrementally patched structures
+        Present for graph-keyed structures (the Graph's own read-only
+        array) and for incrementally patched structures
         (:func:`update_structure` splices the array directly, so the
         patched structure needs no Graph object at all).
         """
         if self._edge_array is None:
-            if self.graph is None:
-                raise ValueError("structure wraps a bare CSR; no edge list")
-            self._edge_array = np.asarray(
-                self.graph.edges, dtype=np.int64
-            ).reshape(-1, 2)
+            raise ValueError("structure wraps a bare CSR; no edge list")
         return self._edge_array
 
     @property
     def csr(self) -> sp.csr_matrix:
         """The symmetric int32 CSR adjacency (canonical form).
 
-        Entry-identical to :func:`repro.graphs.io.to_sparse_adjacency`:
-        scipy's COO→CSR conversion sorts and deduplicates, and the edge
-        list is already canonical, so construction order cannot leak into
-        the result.
+        Graph-keyed structures wrap the Graph's read-only
+        ``indptr``/``indices`` without a copy; patched structures build
+        the same arrays from their spliced edge array.  Entry-identical
+        to :func:`repro.graphs.io.to_sparse_adjacency` either way.
         """
         if self._csr is None:
-            edges = self.edge_array
-            if edges.size == 0:
-                self._csr = sp.csr_matrix((self.n, self.n), dtype=np.int32)
+            if self.graph is not None:
+                indptr, indices = self.graph.indptr, self.graph.indices
             else:
-                rows = np.concatenate([edges[:, 0], edges[:, 1]])
-                cols = np.concatenate([edges[:, 1], edges[:, 0]])
-                data = np.ones(rows.size, dtype=np.int32)
-                self._csr = sp.csr_matrix(
-                    (data, (rows, cols)), shape=(self.n, self.n), dtype=np.int32
-                )
+                indptr, indices = csr_arrays(self.n, self.edge_array)
+            data = np.ones(indices.size, dtype=np.int32)
+            self._csr = sp.csr_matrix(
+                (data, indices, indptr), shape=(self.n, self.n)
+            )
         return self._csr
 
     @property
@@ -152,14 +148,12 @@ class GraphStructure:
 
     def _build_dense(self) -> npt.NDArray[np.bool_]:
         dense = np.zeros((self.n, self.n), dtype=bool)
-        if self.graph is not None or self._edge_array is not None:
-            edges = self.edge_array
-            if edges.size:
-                dense[edges[:, 0], edges[:, 1]] = True
-                dense[edges[:, 1], edges[:, 0]] = True
+        if self._edge_array is not None:
+            edges = self._edge_array
+            dense[edges[:, 0], edges[:, 1]] = True
+            dense[edges[:, 1], edges[:, 0]] = True
         else:
-            csr = self.csr
-            dense[csr.nonzero()] = True
+            dense[self.csr.nonzero()] = True
         return dense
 
     @property
@@ -199,13 +193,16 @@ class GraphStructure:
 
     @property
     def digest(self) -> str:
-        """Content digest keying shared-memory manifests across processes."""
+        """Content digest keying shared-memory manifests across processes.
+
+        The Graph's own memoized digest for graph-keyed structures.
+        """
         if self._digest is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(np.int64(self.n).tobytes())
-            h.update(np.int64(self.num_edges).tobytes())
-            h.update(np.ascontiguousarray(self.edge_array).tobytes())
-            self._digest = h.hexdigest()
+            self._digest = (
+                self.graph.digest
+                if self.graph is not None
+                else edge_digest(self.n, self.edge_array)
+            )
         return self._digest
 
     def __repr__(self) -> str:
@@ -228,10 +225,11 @@ _misses = 0
 def structure_for(graph: Graph) -> GraphStructure:
     """The shared :class:`GraphStructure` of ``graph`` (content-keyed).
 
-    Graphs hash/compare by ``(n, edges)``, so equal topologies map to one
-    structure regardless of object identity — CSR/bitset/dense forms are
-    built once per graph and shared across engine instances, replicas,
-    and observability views.
+    Graphs hash/compare by content digest (confirmed by comparing edge
+    arrays), so equal topologies map to one structure regardless of
+    object identity — CSR/bitset/dense forms are built once per graph
+    and shared across engine instances, replicas, and observability
+    views.
     """
     global _hits, _misses
     with _cache_lock:
@@ -432,6 +430,24 @@ def _patch_packed(
     return out
 
 
+def _rebuilt(structure: GraphStructure, delta: "TopologyDelta") -> GraphStructure:  # repro: cold
+    """The from-scratch path: the cached structure of the post-delta Graph.
+
+    Builds a whole new topology by design, so it is not round-frequency
+    code: :func:`should_rebuild` routes here only past the patching
+    crossover or on id-space growth.
+    """
+    edges = _patch_edge_array(
+        # Grown id spaces only ever *add* vertices, so old keys decode
+        # identically under the new modulus.
+        structure.edge_array,
+        max(delta.new_n, 1),
+        _edge_pairs(delta.removed),
+        _edge_pairs(delta.added),
+    )
+    return structure_for(Graph(delta.new_n, edges))
+
+
 def update_structure(
     structure: GraphStructure,
     delta: "TopologyDelta",
@@ -475,15 +491,7 @@ def update_structure(
 
     if should_rebuild(structure, delta):
         if graph is None:
-            edges = _patch_edge_array(
-                # Grown id spaces only ever *add* vertices, so old keys
-                # decode identically under the new modulus.
-                structure.edge_array,
-                max(delta.new_n, 1),
-                _edge_pairs(delta.removed),
-                _edge_pairs(delta.added),
-            )
-            graph = Graph(delta.new_n, [(int(u), int(v)) for u, v in edges])
+            return _rebuilt(structure, delta)
         return structure_for(graph)
 
     removed = _edge_pairs(delta.removed)

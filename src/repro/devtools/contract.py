@@ -20,7 +20,7 @@ so tests can assert emptiness and ``repro check`` can print specifics.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..core.engines.base import EngineBase
 from ..core.engines.registry import EngineBackend, available_engines, get_engine
@@ -99,6 +99,20 @@ def _signature_problems(run: Callable[..., Any], name: str) -> List[str]:
     return []
 
 
+def _topology_views(graph: Graph) -> Tuple[object, ...]:
+    """Every form an engine reads the topology through: the arrays and
+    the tuple views (a backend could corrupt either)."""
+    return (
+        graph.num_vertices,
+        graph.edges,
+        tuple(graph.neighbors(v) for v in graph.vertices()),
+        graph.degrees(),
+        graph.edge_array.tobytes(),
+        graph.indptr.tobytes(),
+        graph.indices.tobytes(),
+    )
+
+
 def verify_backend(backend: EngineBackend, max_rounds: int = 2000) -> List[str]:
     """Problems with a registered backend (empty = conformant).
 
@@ -107,7 +121,7 @@ def verify_backend(backend: EngineBackend, max_rounds: int = 2000) -> List[str]:
     """
     problems = _signature_problems(backend.run, backend.name)
     graph, policy = _fixture()
-    pristine = Graph(graph.num_vertices, graph.edges)
+    pristine = _topology_views(graph)
     try:
         outcome = backend.run(graph, policy, "single", 7, max_rounds, True)
     except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
@@ -131,7 +145,7 @@ def verify_backend(backend: EngineBackend, max_rounds: int = 2000) -> List[str]:
                 f"backend {backend.name!r} failed to stabilize the fixture "
                 f"graph within {max_rounds} rounds"
             )
-    if graph != pristine:
+    if _topology_views(graph) != pristine:
         problems.append(f"backend {backend.name!r} mutated the input Graph")
     return problems
 

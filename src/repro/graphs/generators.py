@@ -24,6 +24,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from ..devtools.seeding import SeedLike, resolve_rng
 from .graph import Graph, _normalize_edge
@@ -209,8 +210,25 @@ def barbell(clique: int, bridge: int) -> Graph:
 # ----------------------------------------------------------------------
 # Random families
 # ----------------------------------------------------------------------
+#: Uniform draws per block of :func:`erdos_renyi`'s vectorized skip loop
+#: (bounds the transient float lists that ``math.log`` is mapped over).
+_ER_BLOCK = 1 << 16
+
+
 def erdos_renyi(n: int, p: float, seed: SeedLike = None) -> Graph:
-    """G(n, p): each of the C(n,2) edges present independently w.p. ``p``."""
+    """G(n, p): each of the C(n,2) edges present independently w.p. ``p``.
+
+    Geometric skipping (Batagelj–Brandes), O(n + m) expected time,
+    vectorized over blocks of uniform draws.  Pair ``(w, v)``, ``w < v``,
+    has linear index ``k = v(v-1)/2 + w``; each draw advances ``k`` by
+    ``1 + floor(log(1 - r) / log(1 - p))`` and the first index past the
+    last pair ends the walk.  The graph, and the number of draws taken
+    from ``seed`` (one per edge, plus the one that ends the walk), are
+    identical to the scalar loop this replaced, so the caller's stream
+    position is unchanged.  The logarithm is ``math.log`` (libm), mapped
+    over the block: ``np.log`` rounds differently on some inputs, which
+    would eventually move an edge.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
     rng = _rng(seed)
@@ -218,23 +236,43 @@ def erdos_renyi(n: int, p: float, seed: SeedLike = None) -> Graph:
         return Graph(n)
     if p == 1.0:
         return complete(n)
-    # Geometric skipping (Batagelj–Brandes): O(n + m) expected time.
-    edges: List[Tuple[int, int]] = []
     log_q = math.log1p(-p)
-    v, w = 1, -1
+    total = n * (n - 1) // 2
     # Skip lengths are clamped at n^2 (past every remaining pair): for
-    # denormally small p the division can reach float infinity, and an
-    # unclamped int() would overflow.
+    # denormally small p the division can reach float infinity.  Steps
+    # are further clamped at total + 1 (any such step ends the walk), and
+    # the block is capped so its cumulative sum cannot overflow int64.
     max_skip = float(n) * n + 2.0
-    while v < n:
-        skip = min(math.log(1.0 - rng.random()) / log_q, max_skip)
-        w += 1 + int(skip)
-        while w >= v and v < n:
-            w -= v
-            v += 1
-        if v < n:
-            edges.append((w, v))
-    return Graph(n, edges)
+    block_cap = max(1, min(_ER_BLOCK, (1 << 62) // (total + 1)))
+    expected = p * total
+    k = -1  # linear index of the last pair visited
+    chunks: List[npt.NDArray[np.int64]] = []
+    while True:
+        block = int(min(block_cap, expected + 4.0 * math.sqrt(expected) + 16.0))
+        state = rng.bit_generator.state
+        complements = (1.0 - rng.random(block)).tolist()
+        logs = np.fromiter(map(math.log, complements), dtype=np.float64, count=block)
+        with np.errstate(over="ignore"):
+            skips = np.minimum(logs / log_q, max_skip)
+        steps = np.minimum(skips.astype(np.int64), total) + 1
+        index = np.cumsum(steps) + k
+        used = int(np.searchsorted(index, total))  # first index >= total
+        if used < block:
+            chunks.append(index[:used])
+            # Rewind and replay exactly the draws the scalar loop takes.
+            rng.bit_generator.state = state
+            rng.random(used + 1)
+            break
+        chunks.append(index)
+        k = int(index[-1])
+        expected = max(expected - block, 0.0)
+    index = np.concatenate(chunks)
+    v = ((1.0 + np.sqrt(1.0 + 8.0 * index)) / 2.0).astype(np.int64)
+    # The float estimate is within one of the true row; fix it exactly.
+    v -= v * (v - 1) // 2 > index
+    v += v * (v + 1) // 2 <= index
+    w = index - v * (v - 1) // 2
+    return Graph(n, np.stack((w, v), axis=1))
 
 
 def erdos_renyi_mean_degree(n: int, mean_degree: float, seed: SeedLike = None) -> Graph:

@@ -88,14 +88,11 @@ def to_sparse_adjacency(graph: Graph, dtype: "np.typing.DTypeLike" = np.int32) -
     class RPR302 lints against.
     """
     n = graph.num_vertices
-    if graph.num_edges == 0:
-        return sp.csr_matrix((n, n), dtype=dtype)
-    rows, cols = [], []
-    for u, v in graph.edges:
-        rows += [u, v]
-        cols += [v, u]
-    data = np.ones(len(rows), dtype=dtype)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=dtype)
+    data = np.ones(graph.indices.size, dtype=dtype)
+    # Copies: the caller owns the matrix, the Graph's arrays are read-only.
+    return sp.csr_matrix(
+        (data, graph.indices.copy(), graph.indptr.copy()), shape=(n, n)
+    )
 
 
 def to_networkx(graph: Graph):

@@ -11,9 +11,10 @@ checked against.  A set ``I ⊆ V`` is an MIS of ``G`` iff
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from ..devtools.seeding import SeedLike, resolve_rng
 from .graph import Graph
@@ -30,27 +31,56 @@ __all__ = [
     "mis_size_bounds",
 ]
 
+
+def _membership(graph: Graph, candidate: Iterable[int]) -> npt.NDArray[np.bool_]:
+    """Boolean indicator of ``candidate`` over the vertices.
+
+    Ids outside ``0 .. n-1`` are ignored: they can neither conflict nor
+    dominate anything.
+    """
+    ids = np.fromiter(candidate, dtype=np.int64)
+    n = graph.num_vertices
+    inside = np.zeros(n, dtype=bool)
+    inside[ids[(ids >= 0) & (ids < n)]] = True
+    return inside
+
+
+def _first_conflict(
+    graph: Graph, inside: npt.NDArray[np.bool_]
+) -> Optional[Tuple[int, int]]:
+    """The first edge, in canonical order, with both endpoints inside."""
+    edges = graph.edge_array
+    both = inside[edges[:, 0]] & inside[edges[:, 1]]
+    if not both.any():
+        return None
+    u, v = edges[int(np.argmax(both))].tolist()
+    return (u, v)
+
+
+def _first_undominated(graph: Graph, inside: npt.NDArray[np.bool_]) -> Optional[int]:
+    """The smallest vertex outside the set with no neighbor inside it."""
+    edges = graph.edge_array
+    covered = inside.copy()
+    covered[edges[inside[edges[:, 1]], 0]] = True
+    covered[edges[inside[edges[:, 0]], 1]] = True
+    if covered.all():
+        return None
+    return int(np.argmin(covered))
+
+
 def is_independent_set(graph: Graph, candidate: Iterable[int]) -> bool:
     """True iff no two vertices of ``candidate`` are adjacent."""
-    members = set(candidate)
-    return all(not (u in members and v in members) for u, v in graph.edges)
+    return _first_conflict(graph, _membership(graph, candidate)) is None
 
 
 def is_dominating_set(graph: Graph, candidate: Iterable[int]) -> bool:
     """True iff every vertex is in ``candidate`` or adjacent to it."""
-    members = set(candidate)
-    for v in graph.vertices():
-        if v in members:
-            continue
-        if not any(u in members for u in graph.neighbors(v)):
-            return False
-    return True
+    return _first_undominated(graph, _membership(graph, candidate)) is None
 
 
 def is_maximal_independent_set(graph: Graph, candidate: Iterable[int]) -> bool:
     """True iff ``candidate`` is an independent dominating set (an MIS)."""
-    members = set(candidate)
-    return is_independent_set(graph, members) and is_dominating_set(graph, members)
+    return check_mis(graph, candidate) is None
 
 
 @dataclass(frozen=True)
@@ -80,17 +110,17 @@ def check_mis(graph: Graph, candidate: Iterable[int]) -> Optional[MISViolation]:
 
     The first independence violation (in canonical edge order) is
     preferred over maximality witnesses, because an overfull set fails
-    both checks and the edge is the more actionable diagnosis.
+    both checks and the edge is the more actionable diagnosis; the
+    maximality witness is the smallest undominated vertex.  Both checks
+    are single vectorized passes over the graph's edge array.
     """
-    members = set(candidate)
-    for u, v in graph.edges:
-        if u in members and v in members:
-            return MISViolation(conflicting_edge=(u, v))
-    for v in graph.vertices():
-        if v in members:
-            continue
-        if not any(u in members for u in graph.neighbors(v)):
-            return MISViolation(undominated_vertex=v)
+    inside = _membership(graph, candidate)
+    edge = _first_conflict(graph, inside)
+    if edge is not None:
+        return MISViolation(conflicting_edge=edge)
+    vertex = _first_undominated(graph, inside)
+    if vertex is not None:
+        return MISViolation(undominated_vertex=vertex)
     return None
 
 

@@ -14,11 +14,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+import numpy.typing as npt
+
 from .graph import Graph
 
 __all__ = [
     "deg2",
     "deg2_all",
+    "deg2_array",
     "connected_components",
     "is_connected",
     "diameter",
@@ -35,13 +39,26 @@ def deg2(graph: Graph, v: int) -> int:
     return max(graph.degree(u) for u in graph.closed_neighborhood(v))
 
 
+def deg2_array(graph: Graph) -> npt.NDArray[np.int64]:
+    """``deg₂`` for every vertex as an int64 array, from the CSR arrays.
+
+    One ``np.maximum.reduceat`` over the neighbor degrees of the
+    non-isolated rows (isolated vertices have ``deg₂ = deg = 0``).
+    """
+    degrees = graph.degree_array
+    out = degrees.copy()
+    touched = degrees > 0
+    if touched.any():
+        neighbor_max = np.maximum.reduceat(
+            degrees[graph.indices], graph.indptr[:-1][touched]
+        )
+        out[touched] = np.maximum(degrees[touched], neighbor_max)
+    return out
+
+
 def deg2_all(graph: Graph) -> Tuple[int, ...]:
     """``deg₂`` for every vertex, indexed by vertex id."""
-    degrees = graph.degrees()
-    return tuple(
-        max((degrees[u] for u in graph.closed_neighborhood(v)), default=0)
-        for v in graph.vertices()
-    )
+    return tuple(deg2_array(graph).tolist())
 
 
 def bfs_distances(graph: Graph, source: int) -> List[Optional[int]]:

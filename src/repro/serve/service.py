@@ -282,9 +282,12 @@ class MISService:
         return self._engine.structure
 
     def mis(self) -> Tuple[int, ...]:
-        """The served MIS: current members restricted to live vertices."""
-        live = self.topology.live_vertices()
-        return tuple(v for v in self._mis_full() if v in set(live))
+        """The served MIS: current members restricted to live vertices.
+
+        O(|MIS|): one liveness lookup per member.
+        """
+        topology = self.topology
+        return tuple(v for v in self._mis_full() if topology.is_live(v))
 
     def verify_legal(self) -> bool:
         """Cross-check the served MIS against the graph-theoretic oracle.

@@ -41,23 +41,29 @@ def test_frozen_arrays_trap_injected_graph_mutation():
     engine = make_engine()
     shared = engine_shared_arrays(engine)
     assert len(shared) >= 4  # csr triplet + ell_max at minimum
+    before = [a.flags.writeable for a in shared]
     with frozen_arrays(shared):
         with pytest.raises(ValueError, match="read-only"):
             engine.adjacency.data[0] = 99
         with pytest.raises(ValueError, match="read-only"):
             engine.ell_max[0] = 1
-    # Flags are restored afterwards.
-    assert all(a.flags.writeable for a in shared)
+    # Flags are restored afterwards: engine-owned arrays are writable
+    # again, while the arrays adopted from the Graph stay read-only.
+    assert [a.flags.writeable for a in shared] == before
+    assert engine.adjacency.data.flags.writeable
+    assert not engine.adjacency.indices.flags.writeable
     engine.ell_max[0] = engine.ell_max[0]  # writable again
 
 
 def test_frozen_arrays_restore_on_error():
     engine = make_engine()
     shared = engine_shared_arrays(engine)
+    before = [a.flags.writeable for a in shared]
     with pytest.raises(RuntimeError):
         with frozen_arrays(shared):
             raise RuntimeError("boom")
-    assert all(a.flags.writeable for a in shared)
+    assert [a.flags.writeable for a in shared] == before
+    assert any(before)
 
 
 def test_errstate_traps_injected_int_overflow():

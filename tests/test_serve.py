@@ -167,6 +167,23 @@ def test_service_rejects_without_perturbing_state():
     assert service.verify_legal()
 
 
+def test_query_mis_drops_tombstones_and_keeps_member_order():
+    graph = _graph()
+    service = MISService(graph, degree_cap=graph.max_degree() + 4, seed=0)
+    assert service.mis() == service._mis_full()  # nothing tombstoned yet
+    victims = service._mis_full()[:3]
+    for v in victims:
+        assert service.apply(Op("DEL_NODE", v=v)).status == "ok"
+    live = set(service.topology.live_vertices())
+    # The reference formula: full member order, filtered to live ids.
+    expected = tuple(v for v in service._mis_full() if v in live)
+    assert service.mis() == expected
+    assert not set(victims) & set(service.mis())
+    assert list(service.mis()) == sorted(service.mis())
+    result = service.apply(Op("QUERY_MIS"))
+    assert result.status == "ok" and result.mis == expected
+
+
 def test_served_stream_stays_legal_and_reads_are_consistent():
     graph = _graph()
     cap = graph.max_degree() + 2
