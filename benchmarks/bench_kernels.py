@@ -86,7 +86,9 @@ class LegacyBatchedEngine(BatchedEngine):
     """
 
     def __init__(self, graph, policy, **kwargs):
-        super().__init__(graph, policy, **kwargs)
+        # The step loop below is the baseline, so never delegate to the
+        # fused tier that batched runs now use by default.
+        super().__init__(graph, policy, round_kernel=None, **kwargs)
         self.adjacency = to_sparse_adjacency(graph)
         self._legacy_adj_t = self.adjacency.transpose().tocsr()
 
@@ -285,7 +287,9 @@ def sweep_speedup(pairs=3):
     """
     configs = [{"family": "er", "n": n} for n in SPEEDUP_SIZES]
     legacy_measure = LegacyStabilizationRounds(variant="max_degree")
-    new_measure = StabilizationRounds(variant="max_degree", kernel="bitset")
+    new_measure = StabilizationRounds(
+        variant="max_degree", kernel="bitset", round_kernel=None
+    )
     fused_measure = StabilizationRounds(
         variant="max_degree", round_kernel="fused_packed"
     )

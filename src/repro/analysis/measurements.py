@@ -85,11 +85,13 @@ class StabilizationRounds:
     #: strings (not model objects) so the measurement stays picklable.
     channel: str = "perfect"
     scheduler: str = "synchronous"
-    #: Optional fused-round tier (docs/performance.md, "Fused round
-    #: tier"); ``None`` keeps the per-step loop.  Byte-identical where
-    #: eligible, silent step-loop fallback otherwise — like ``kernel``,
-    #: a pure performance knob.
-    round_kernel: Optional[str] = None
+    #: Fused-round tier (docs/performance.md, "Fused round tier").
+    #: ``"auto"`` runs ``fused_packed`` on repetition blocks of 16 or
+    #: more replicas and the per-step loop otherwise (solo runs, small
+    #: blocks, collectors, stress models); ``None`` always keeps the
+    #: per-step loop.  Byte-identical either way — like ``kernel``, a
+    #: pure performance knob.
+    round_kernel: Optional[str] = "auto"
 
     # ------------------------------------------------------------------
     def _policy(

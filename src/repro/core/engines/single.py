@@ -9,7 +9,7 @@ import numpy.typing as npt
 
 from ...graphs.graph import Graph
 from ..knowledge import EllMaxPolicy
-from .base import MAX_EXPONENT, EngineBase, SeedLike, VectorizedResult, drive
+from .base import EngineBase, SeedLike, VectorizedResult, drive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...beeping.channels import ChannelLike
@@ -31,17 +31,12 @@ class SingleChannelEngine(EngineBase):
     def beep_probabilities(self) -> npt.NDArray[np.float64]:
         """The Figure-1 activation applied elementwise to the levels.
 
-        The clipped exponent lands in the reused ``_pfloat`` scratch (a
-        cast-on-store, value-identical to the historical ``.astype``);
-        only the returned probability vector is freshly allocated.
+        A :class:`~repro.core.kernels.BeepTable` lookup into the reused
+        ``_pfloat`` scratch, which the next call overwrites.
         """
-        exponent = self._pfloat
-        np.clip(self.levels, 0, MAX_EXPONENT, out=exponent)
-        np.negative(exponent, out=exponent)
-        p = np.power(2.0, exponent)
-        p[self.levels <= 0] = 1.0
-        p[self.levels >= self.ell_max] = 0.0
-        return p
+        return self._p_table.lookup(
+            self.levels, self._pfloat, self._p_idx, self._below
+        )
 
     def step(self) -> npt.NDArray[np.bool_]:
         """One round; returns the *emitted* beep vector (bool array).

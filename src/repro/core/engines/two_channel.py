@@ -9,7 +9,7 @@ import numpy.typing as npt
 
 from ...graphs.graph import Graph
 from ..knowledge import EllMaxPolicy
-from .base import MAX_EXPONENT, EngineBase, SeedLike, VectorizedResult, drive
+from .base import EngineBase, SeedLike, VectorizedResult, drive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...beeping.channels import ChannelLike
@@ -35,10 +35,7 @@ class TwoChannelEngine(EngineBase):
         """
         draws = self._draws
         self.rng.random(out=draws)
-        exponent = self._pfloat
-        np.clip(self.levels, 0, MAX_EXPONENT, out=exponent)
-        np.negative(exponent, out=exponent)
-        p1 = np.power(2.0, exponent)
+        p1 = self._p_table.lookup(self.levels, self._pfloat, self._p_idx)
         active = (self.levels > 0) & (self.levels < self.ell_max)
         beep1 = active & (draws < p1)
         beep2 = self.levels == 0

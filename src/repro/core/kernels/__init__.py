@@ -19,6 +19,9 @@ from .hear import (
     resolve_kernel_name,
 )
 from .round import (
+    AUTO_PACKED_MIN_REPLICAS,
+    MAX_EXPONENT,
+    BeepTable,
     BlockDraws,
     BlockOutcome,
     FusedNumbaRoundKernel,
@@ -30,6 +33,7 @@ from .round import (
     RoundKernelUnavailable,
     available_round_kernels,
     get_round_kernel,
+    plan_round_kernel,
     resolve_round_kernel_name,
 )
 from .shm import (
@@ -75,6 +79,10 @@ __all__ = [
     "available_round_kernels",
     "resolve_round_kernel_name",
     "get_round_kernel",
+    "plan_round_kernel",
+    "BeepTable",
+    "MAX_EXPONENT",
+    "AUTO_PACKED_MIN_REPLICAS",
     "GraphStructure",
     "structure_for",
     "seed_structure",
