@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -112,3 +113,33 @@ class TestOtherCommands:
         assert main(["info", "--family", "grid", "--n", "25"]) == 0
         out = capsys.readouterr().out
         assert "vertices" in out and "components" in out
+
+
+class TestRoundKernelFlag:
+    """``--round-kernel`` reaches the library only when given; ``step``
+    maps to ``round_kernel=None`` (the step loop)."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], {}),
+        (["--round-kernel", "step"], {"round_kernel": None}),
+        (["--round-kernel", "fused_numpy"], {"round_kernel": "fused_numpy"}),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--sizes", "16,32"],
+        ["run", "--n", "24"],
+    ])
+    def test_forwarded_only_when_given(self, monkeypatch, capsys, command,
+                                       argv, expected):
+        seen = []
+        real = cli.StabilizationRounds
+
+        def spy(**kwargs):
+            seen.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(cli, "StabilizationRounds", spy)
+        argv = command + ["--reps", "3", "--c1", "4", "--seed", "2"] + argv
+        assert main(argv) == 0
+        (kwargs,) = seen
+        given = {k: v for k, v in kwargs.items() if k == "round_kernel"}
+        assert given == expected
