@@ -49,7 +49,7 @@ RESULTS_DIR = os.path.join(
 
 
 def allocation_audit_summary():
-    """Measured steady-state bytes/round per engine × kernel combo.
+    """Measured steady-state bytes/round per engine combo.
 
     Runs :func:`repro.devtools.hotpath.audit.run_allocation_audit` (the
     runtime twin of the RPR8xx hot-path rules) and returns its

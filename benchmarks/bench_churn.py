@@ -36,7 +36,7 @@ from _harness import print_header, save_bench_rows, seed_for, sizes_and_reps
 from repro.analysis.tables import format_rows
 from repro.core import max_degree_policy
 from repro.core.churn import restabilize_after_churn, rewire_edges
-from repro.core.vectorized import simulate_single
+from repro.core.engines import simulate_single
 from repro.graphs.generators import by_name
 from repro.obs import PhaseProfiler
 from repro.serve import MUTATION_OPS, MISService, generate_ops

@@ -21,7 +21,7 @@ from _harness import print_header, seed_for, sizes_and_reps
 from repro.analysis.tables import format_rows
 from repro.core import max_degree_policy
 from repro.core.instrumentation import Configuration, PlatinumTracker
-from repro.core.vectorized import SingleChannelEngine
+from repro.core.engines import SingleChannelEngine
 from repro.graphs.generators import by_name
 
 

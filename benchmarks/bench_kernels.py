@@ -1,25 +1,24 @@
-"""E10 — hear-kernel engineering: kernel grid + structure-cache + shm sweep.
+"""E10 — hear-kernel engineering: engine grid + structure-cache + shm sweep.
 
 Two artifacts, both written to ``results/BENCH_kernels.json``:
 
-* a **kernel × engine × size grid** timing each registered hear kernel
-  under every engine: engine *construction* with the structure cache
-  cold (cleared first) and warm — the cache's win is that column gap —
-  plus the steady-state *stepping* cost, timed separately.  (Earlier
+* an **engine × size grid** timing the hear kernel under every engine:
+  engine *construction* with the structure cache cold (cleared first)
+  and warm — the cache's win is that column gap — plus the steady-state
+  *stepping* cost, timed separately.  (Earlier
   revisions timed construction and stepping as one cell, which buried
   the sub-ms cache delta under run jitter and produced nonsensical
   ``warm > cold`` rows; see docs/performance.md, "Noise floor".)
 * the **Theorem-2.1 smoke sweep** (6 sizes × 20 seeds, batched
   executor) timed on the pre-kernel ``sparse_int32`` path — faithfully
-  reconstructed below as :class:`LegacyBatchedEngine` — versus the new
-  batched engine on the ``bitset`` kernel (in-process and through a
-  shared-memory :class:`~repro.analysis.sweep.SweepPool`) and versus
-  the **fused-round tier** (``round_kernel="fused_packed"``, the
+  reconstructed below as :class:`LegacyBatchedEngine` — versus the
+  batched engine's step loop (``round_kernel=None``; in-process and
+  through a shared-memory :class:`~repro.analysis.sweep.SweepPool`) and
+  versus the **fused-round tier** (``round_kernel="fused_packed"``, the
   whole-round kernel of PR-10).  Samples must be byte-identical across
   all paths.  The acceptance bar is a ≥ 2× wall-clock speedup for each
-  tier over the legacy path it replaced; the fused-vs-bitset ratio is
-  additionally recorded honestly (the remaining gap is RNG + ufunc
-  floor, see docs/performance.md) and gated in CI against regression.
+  tier over the legacy path it replaced; the fused-vs-step-loop ratio
+  is additionally recorded and gated in CI against regression.
 
 Methodology: every *ratio* is a *median of adjacent pairs* — baseline
 and candidate run back-to-back, repeatedly, and the median per-pair
@@ -44,7 +43,7 @@ from repro.core.engines.base import MAX_EXPONENT
 from repro.core.engines.batched import BatchedEngine
 from repro.core.engines.single import SingleChannelEngine
 from repro.core.engines.two_channel import TwoChannelEngine
-from repro.core.kernels import available_kernels, clear_structure_cache
+from repro.core.kernels import HearKernel, clear_structure_cache, structure_for
 from repro.graphs.generators import by_name
 from repro.graphs.io import to_sparse_adjacency
 
@@ -59,8 +58,7 @@ GRID_SIZES_FULL = (64, 256, 1024)
 #: apart from stepping.  The previous 100-round / 3-pair grid timed
 #: construction + run as one cell and took per-column medians, so the
 #: ~0.15–0.3 ms cache delta drowned in the ~0.5 ms jitter of a
-#: multi-ms cell and the warm column occasionally landed *above* cold
-#: (e.g. two_channel × bitset at n=64).  Separating the phases and
+#: multi-ms cell and the warm column occasionally landed *above* cold.  Separating the phases and
 #: taking mins (noise is strictly additive for absolute times) puts
 #: both cache columns well above the noise floor; see
 #: docs/performance.md, "Noise floor".
@@ -181,15 +179,13 @@ class LegacyStabilizationRounds(StabilizationRounds):
 
 
 # ----------------------------------------------------------------------
-# Kernel × engine × size grid (structure cache cold vs warm)
+# Engine × size grid (structure cache cold vs warm)
 # ----------------------------------------------------------------------
-def _grid_construct(engine_label, kernel, graph, policy):
+def _grid_construct(engine_label, graph, policy):
     if engine_label == "batched":
-        return BatchedEngine(
-            graph, policy, replicas=GRID_REPLICAS, seed=1, kernel=kernel
-        )
+        return BatchedEngine(graph, policy, replicas=GRID_REPLICAS, seed=1)
     cls = SingleChannelEngine if engine_label == "single" else TwoChannelEngine
-    return cls(graph, policy, seed=1, kernel=kernel)
+    return cls(graph, policy, seed=1)
 
 
 def _grid_step(engine):
@@ -209,41 +205,37 @@ def kernel_grid(sizes, pairs=GRID_PAIRS):
         graph = by_name("er", n, seed=seed_for("E10g", n))
         policy = max_degree_policy(graph, c1=8)
         for engine_label in ("single", "two_channel", "batched"):
-            for kernel in available_kernels():
-                _grid_step(  # warmup
-                    _grid_construct(engine_label, kernel, graph, policy)
-                )
-                cold, warm, stepping = [], [], []
-                for _ in range(pairs):
-                    clear_structure_cache()
-                    start = time.perf_counter()
-                    engine = _grid_construct(engine_label, kernel, graph, policy)
-                    cold.append(time.perf_counter() - start)
-                    start = time.perf_counter()
-                    _grid_step(engine)
-                    stepping.append(time.perf_counter() - start)
-                    start = time.perf_counter()
-                    _grid_construct(engine_label, kernel, graph, policy)
-                    warm.append(time.perf_counter() - start)
-                rows.append(
-                    {
-                        "bench": "grid",
-                        "engine": engine_label,
-                        "kernel": kernel,
-                        "n": n,
-                        "rounds": GRID_ROUNDS,
-                        "construct_cold_ms": round(1e3 * min(cold), 3),
-                        "construct_warm_ms": round(1e3 * min(warm), 3),
-                        "step_ms": round(1e3 * min(stepping), 3),
-                    }
-                )
+            _grid_step(_grid_construct(engine_label, graph, policy))  # warmup
+            cold, warm, stepping = [], [], []
+            for _ in range(pairs):
+                clear_structure_cache()
+                start = time.perf_counter()
+                engine = _grid_construct(engine_label, graph, policy)
+                cold.append(time.perf_counter() - start)
+                start = time.perf_counter()
+                _grid_step(engine)
+                stepping.append(time.perf_counter() - start)
+                start = time.perf_counter()
+                _grid_construct(engine_label, graph, policy)
+                warm.append(time.perf_counter() - start)
+            rows.append(
+                {
+                    "bench": "grid",
+                    "engine": engine_label,
+                    "n": n,
+                    "rounds": GRID_ROUNDS,
+                    "construct_cold_ms": round(1e3 * min(cold), 3),
+                    "construct_warm_ms": round(1e3 * min(warm), 3),
+                    "step_ms": round(1e3 * min(stepping), 3),
+                }
+            )
     return rows
 
 
 def grid_table(rows):
     body = [
         [
-            r["engine"], r["kernel"], r["n"],
+            r["engine"], r["n"],
             f"{r['construct_cold_ms']:.3f}", f"{r['construct_warm_ms']:.3f}",
             f"{r['step_ms']:.2f}",
         ]
@@ -251,7 +243,7 @@ def grid_table(rows):
     ]
     return format_table(
         [
-            "engine", "kernel", "n",
+            "engine", "n",
             "construct cold ms", "construct warm ms", "step ms",
         ],
         body,
@@ -260,7 +252,7 @@ def grid_table(rows):
 
 
 # ----------------------------------------------------------------------
-# Theorem-2.1 smoke sweep: legacy sparse path vs bitset (+ shm pool)
+# Theorem-2.1 smoke sweep: legacy path vs step loop (+ shm pool) vs fused
 # ----------------------------------------------------------------------
 def _timed_sweep(measure, pool=None):
     configs = [{"family": "er", "n": n} for n in SPEEDUP_SIZES]
@@ -278,18 +270,16 @@ def _timed_sweep(measure, pool=None):
 
 
 def sweep_speedup(pairs=3):
-    """Smoke-sweep rows + speedups for the bitset and fused tiers.
+    """Smoke-sweep rows + speedups for the step loop and the fused tier.
 
-    Adjacent *quads* — legacy, bitset, bitset+shm-pool, fused-packed —
+    Adjacent *quads* — legacy, step loop, step loop+shm-pool, fused-packed —
     run back to back, ``pairs`` times; every reported ratio is the
     median of per-quad ratios, and the samples of all four paths must
     be byte-identical.
     """
     configs = [{"family": "er", "n": n} for n in SPEEDUP_SIZES]
     legacy_measure = LegacyStabilizationRounds(variant="max_degree")
-    new_measure = StabilizationRounds(
-        variant="max_degree", kernel="bitset", round_kernel=None
-    )
+    new_measure = StabilizationRounds(variant="max_degree", round_kernel=None)
     fused_measure = StabilizationRounds(
         variant="max_degree", round_kernel="fused_packed"
     )
@@ -321,7 +311,7 @@ def sweep_speedup(pairs=3):
     speedup = _median_ratio(0, 1)
     shm_speedup = _median_ratio(0, 2)
     fused_speedup = _median_ratio(0, 3)
-    fused_vs_bitset = _median_ratio(1, 3)
+    fused_vs_step = _median_ratio(1, 3)
     median = sorted(measurements, key=lambda t: t[0] / t[1])[len(measurements) // 2]
     samples_total = SPEEDUP_REPS * len(SPEEDUP_SIZES)
     rows = [
@@ -333,7 +323,7 @@ def sweep_speedup(pairs=3):
         },
         {
             "bench": "thm21_sweep",
-            "path": "batched_bitset",
+            "path": "batched_step",
             "wall_seconds": round(median[1], 4),
             "samples": samples_total,
             "speedup_vs_legacy": round(speedup, 2),
@@ -341,7 +331,7 @@ def sweep_speedup(pairs=3):
         },
         {
             "bench": "thm21_sweep",
-            "path": "batched_bitset_shm_pool",
+            "path": "batched_step_shm_pool",
             "wall_seconds": round(median[2], 4),
             "samples": samples_total,
             "speedup_vs_legacy": round(shm_speedup, 2),
@@ -353,15 +343,15 @@ def sweep_speedup(pairs=3):
             "wall_seconds": round(median[3], 4),
             "samples": samples_total,
             "speedup_vs_legacy": round(fused_speedup, 2),
-            "speedup_vs_bitset": round(fused_vs_bitset, 2),
+            "speedup_vs_step": round(fused_vs_step, 2),
             "samples_identical_to_legacy": identical,
         },
     ]
     speedups = {
-        "bitset": speedup,
+        "step": speedup,
         "shm": shm_speedup,
         "fused": fused_speedup,
-        "fused_vs_bitset": fused_vs_bitset,
+        "fused_vs_step": fused_vs_step,
     }
     return rows, speedups, identical
 
@@ -369,13 +359,11 @@ def sweep_speedup(pairs=3):
 # ----------------------------------------------------------------------
 # pytest-benchmark smoke entry
 # ----------------------------------------------------------------------
-def bench_bitset_hear_rows(benchmark):
-    """Smoke: one bitset hear_rows block on the n=256 grid graph."""
-    from repro.core.kernels import make_kernel, structure_for
-
+def bench_hear_rows(benchmark):
+    """Smoke: one hear_rows block on the n=256 grid graph."""
     graph = by_name("er", 256, seed=seed_for("E10g", 256))
     structure = structure_for(graph)
-    kernel = make_kernel("bitset", structure)
+    kernel = HearKernel(structure)
     rng = np.random.default_rng(0)
     rows = rng.random((GRID_REPLICAS, structure.n)) < 0.25
     out = np.empty_like(rows)
@@ -406,16 +394,16 @@ def run_experiment(full: bool = False) -> None:
         f"{SPEEDUP_REPS} seeds, batched executor):"
     )
     print(f"  legacy sparse_int32 path : {legacy_s:.3f}s")
-    print(f"  bitset kernel            : {new_s:.3f}s  ({speedups['bitset']:.1f}x)")
-    print(f"  bitset + shm worker pool : {shm_s:.3f}s  ({speedups['shm']:.1f}x)")
+    print(f"  batched step loop        : {new_s:.3f}s  ({speedups['step']:.1f}x)")
+    print(f"  step loop + shm pool     : {shm_s:.3f}s  ({speedups['shm']:.1f}x)")
     print(
         f"  fused_packed round tier  : {fused_s:.3f}s  "
-        f"({speedups['fused']:.1f}x, {speedups['fused_vs_bitset']:.2f}x vs bitset)"
+        f"({speedups['fused']:.1f}x, {speedups['fused_vs_step']:.2f}x vs step loop)"
     )
     print(f"sweep outputs byte-identical across paths: {'PASS' if identical else 'FAIL'}")
-    bar_ok = speedups["bitset"] >= 2.0
+    bar_ok = speedups["step"] >= 2.0
     print(
-        f"bitset speedup vs legacy sparse path: {speedups['bitset']:.1f}x — "
+        f"step loop speedup vs legacy sparse path: {speedups['step']:.1f}x — "
         f"{'PASS' if bar_ok else 'FAIL'} (bar: >= 2x)"
     )
     fused_ok = speedups["fused"] >= 2.0
@@ -423,9 +411,9 @@ def run_experiment(full: bool = False) -> None:
         f"fused speedup vs legacy sparse path: {speedups['fused']:.1f}x — "
         f"{'PASS' if fused_ok else 'FAIL'} (bar: >= 2x)"
     )
-    regress_ok = speedups["fused_vs_bitset"] >= 0.9
+    regress_ok = speedups["fused_vs_step"] >= 0.9
     print(
-        f"fused vs bitset hear-kernel path: {speedups['fused_vs_bitset']:.2f}x — "
+        f"fused vs batched step loop: {speedups['fused_vs_step']:.2f}x — "
         f"{'PASS' if regress_ok else 'FAIL'} (gate: >= 0.9x, generous CI slack)"
     )
 

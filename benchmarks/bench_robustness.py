@@ -5,8 +5,7 @@ Two jobs, both grep-able from CI:
 
 * **Byte-identity gate** — re-asserts at bench time that the default
   perfect channel + synchronous scheduler reproduces the explicit-spec
-  trajectories bit for bit across every engine × kernel × executor
-  combination (printed as ``...: PASS`` lines).
+  trajectories bit for bit across every engine × executor combination (printed as ``...: PASS`` lines).
 * **Degradation grid** — stabilization-round medians for a grid of
   channel models × schedulers on the ER smoke family, written to
   ``results/BENCH_robustness.json``.
@@ -34,46 +33,42 @@ GRID_SCHEDULERS = ("synchronous", "drift:0.1")
 GRID_SIZES = (64, 128, 192)
 GRID_REPS = 12
 MASTER_SEED = 2024
-KERNELS = ("auto", "sparse", "dense", "bitset")
 
 
 def check_default_byte_identity(n=96, rounds=200) -> bool:
-    """Defaults ≡ explicit perfect+synchronous, engine × kernel matrix."""
+    """Defaults ≡ explicit perfect+synchronous, across the engines."""
     graph = by_name("er", n, seed=seed_for("RBg", n))
     builders = {
-        "single": lambda kernel, **extra: SingleChannelEngine(
-            graph, policy_for_variant(graph, "max_degree"), seed=7,
-            kernel=kernel, **extra,
+        "single": lambda **extra: SingleChannelEngine(
+            graph, policy_for_variant(graph, "max_degree"), seed=7, **extra,
         ),
-        "two_channel": lambda kernel, **extra: TwoChannelEngine(
-            graph, policy_for_variant(graph, "two_channel"), seed=7,
-            kernel=kernel, **extra,
+        "two_channel": lambda **extra: TwoChannelEngine(
+            graph, policy_for_variant(graph, "two_channel"), seed=7, **extra,
         ),
-        "constant_state": lambda kernel, **extra: ConstantStateEngine(
-            graph, seed=7, kernel=kernel, **extra
+        "constant_state": lambda **extra: ConstantStateEngine(
+            graph, seed=7, **extra
         ),
-        "batched": lambda kernel, **extra: BatchedEngine(
+        "batched": lambda **extra: BatchedEngine(
             graph, policy_for_variant(graph, "max_degree"), replicas=2,
-            seed=7, kernel=kernel, **extra,
+            seed=7, **extra,
         ),
     }
     explicit = {"channel": "perfect", "scheduler": "synchronous"}
     for name, build in builders.items():
-        for kernel in KERNELS:
-            default = build(kernel)
-            pinned = build(kernel, **explicit)
-            for _ in range(rounds):
-                default.step()
-                pinned.step()
-            state = "in_mis" if name == "constant_state" else "levels"
-            a, b = getattr(default, state), getattr(pinned, state)
-            same = (
-                all((x == y).all() for x, y in zip(a, b))
-                if name == "batched"
-                else (a == b).all()
-            )
-            if not same:
-                return False
+        default = build()
+        pinned = build(**explicit)
+        for _ in range(rounds):
+            default.step()
+            pinned.step()
+        state = "in_mis" if name == "constant_state" else "levels"
+        a, b = getattr(default, state), getattr(pinned, state)
+        same = (
+            all((x == y).all() for x, y in zip(a, b))
+            if name == "batched"
+            else (a == b).all()
+        )
+        if not same:
+            return False
     return True
 
 
@@ -140,7 +135,7 @@ def run_experiment(full: bool = False) -> None:
     identity = check_default_byte_identity()
     print(
         "default ≡ explicit perfect+synchronous "
-        f"(engine × kernel matrix): {'PASS' if identity else 'FAIL'}"
+        f"(engine matrix): {'PASS' if identity else 'FAIL'}"
     )
     executors = check_executor_byte_identity()
     print(f"executor matrix byte-identical on defaults: {'PASS' if executors else 'FAIL'}")
@@ -188,7 +183,7 @@ def bench_noisy_round_throughput(benchmark):
 
 
 def bench_byte_identity_gate(benchmark):
-    """The engine × kernel identity check itself, timed (and asserted)."""
+    """The engine identity check itself, timed (and asserted)."""
     result = benchmark.pedantic(
         lambda: check_default_byte_identity(n=48, rounds=60), rounds=1, iterations=1
     )

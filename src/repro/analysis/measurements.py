@@ -77,9 +77,6 @@ class StabilizationRounds:
     slack: float = 1.0
     max_rounds: int = 200_000
     arbitrary_start: bool = True
-    #: Hear-kernel name forwarded to every engine (bit-identical across
-    #: kernels, so this is a pure performance knob).
-    kernel: str = "auto"
     #: Channel/scheduler stress specs (docs/robustness.md); the defaults
     #: keep trajectories byte-identical to the historical path.  Spec
     #: strings (not model objects) so the measurement stays picklable.
@@ -89,8 +86,8 @@ class StabilizationRounds:
     #: ``"auto"`` runs ``fused_packed`` on repetition blocks of 16 or
     #: more replicas and the per-step loop otherwise (solo runs, small
     #: blocks, collectors, stress models); ``None`` always keeps the
-    #: per-step loop.  Byte-identical either way — like ``kernel``, a
-    #: pure performance knob.
+    #: per-step loop.  Byte-identical either way: a pure performance
+    #: knob.
     round_kernel: Optional[str] = "auto"
 
     # ------------------------------------------------------------------
@@ -123,7 +120,6 @@ class StabilizationRounds:
             seed=rng,
             max_rounds=self.max_rounds,
             arbitrary_start=self.arbitrary_start,
-            kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
             round_kernel=self.round_kernel,
@@ -145,7 +141,6 @@ class StabilizationRounds:
             algorithm=algorithm,
             max_rounds=self.max_rounds,
             arbitrary_start=self.arbitrary_start,
-            kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
             round_kernel=self.round_kernel,
@@ -182,7 +177,6 @@ class StabilizationRounds:
             max_rounds=self.max_rounds,
             arbitrary_start=self.arbitrary_start,
             collector=collector,
-            kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
             round_kernel=self.round_kernel,
@@ -214,7 +208,6 @@ class StabilizationRounds:
             max_rounds=self.max_rounds,
             arbitrary_start=self.arbitrary_start,
             collector=collector,
-            kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
             round_kernel=self.round_kernel,
@@ -241,8 +234,6 @@ class FaultRecoveryRounds:
     fault: str = "random"
     engine: str = "reference"
     max_rounds: int = 200_000
-    #: Hear kernel for the vectorized path (the reference path has none).
-    kernel: str = "auto"
 
     def __call__(self, config: Mapping[str, Any], rng: np.random.Generator) -> float:
         graph = graph_for_config(config)
@@ -300,7 +291,7 @@ class FaultRecoveryRounds:
         engine_cls = (
             TwoChannelEngine if self.variant == "two_channel" else SingleChannelEngine
         )
-        engine = engine_cls(graph, policy, seed=rng, kernel=self.kernel)
+        engine = engine_cls(graph, policy, seed=rng)
         first = drive(engine, self.max_rounds, 1, False)
         if not first.stabilized:
             raise RuntimeError(f"initial stabilization failed: {dict(config)}")

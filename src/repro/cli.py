@@ -67,7 +67,7 @@ __all__ = ["main", "build_parser"]
 
 #: ``--round-kernel`` choices; ``step`` asks for the step loop
 #: (``round_kernel=None`` in the library).
-ROUND_KERNEL_CHOICES = ["auto", "step", "fused_numpy", "fused_packed", "fused_numba"]
+ROUND_KERNEL_CHOICES = ["auto", "step", "fused_numpy", "fused_packed"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,9 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="boot from level 1 instead of an arbitrary configuration")
     run_p.add_argument("--engine", choices=available_engines(), default="vectorized",
                        help="execution backend (registered engines)")
-    run_p.add_argument("--kernel", choices=["auto", "sparse", "dense", "bitset"],
-                       default="auto",
-                       help="hear kernel (bit-identical results; perf only)")
     run_p.add_argument("--round-kernel", default=None, choices=ROUND_KERNEL_CHOICES,
                        help="fused-round tier (byte-identical; auto = "
                             "fused_packed from 16 replicas up, step = the "
@@ -155,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "vectorized: solo runs (parallel with --jobs)")
     sweep_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes for the sweep executor")
-    sweep_p.add_argument("--kernel", choices=["auto", "sparse", "dense", "bitset"],
-                         default="auto",
-                         help="hear kernel (bit-identical results; perf only)")
     sweep_p.add_argument("--round-kernel", default=None,
                          choices=ROUND_KERNEL_CHOICES,
                          help="fused-round tier; auto (default) = "
@@ -199,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--engine", choices=("vectorized", "batched"),
                          default="vectorized",
                          help="resumable execution engine")
-    serve_p.add_argument("--kernel", choices=["auto", "sparse", "dense", "bitset"],
-                         default="auto",
-                         help="hear kernel (bit-identical results; perf only)")
     serve_p.add_argument("--rebuild-per-op", action="store_true",
                          help="baseline mode: rebuild the full derived "
                               "structure on every mutation instead of "
@@ -308,8 +299,7 @@ def _round_kernel_kwargs(args) -> dict:
 
 
 def _resolve_stress(args):
-    """The ``--channel`` / ``--scheduler`` / ``--round-kernel`` specs,
-    validated eagerly.
+    """The ``--channel`` / ``--scheduler`` specs, validated eagerly.
 
     Returns ``(channel, scheduler)`` with ``None`` for a flag left at
     its default, so downstream calls keep the forwarded-only-when-set
@@ -325,20 +315,6 @@ def _resolve_stress(args):
         channel_from_spec(channel)
     if scheduler is not None:
         scheduler_from_spec(scheduler)
-    round_kernel = getattr(args, "round_kernel", None)
-    if round_kernel not in (None, "step"):
-        from .core.kernels import (
-            available_round_kernels,
-            resolve_round_kernel_name,
-        )
-
-        name = resolve_round_kernel_name(round_kernel)
-        if name not in available_round_kernels():
-            raise ValueError(
-                f"round kernel '{name}' is not available in this "
-                "environment (numba not installed); use "
-                "'fused_packed' or 'fused_numpy'"
-            )
     return channel, scheduler
 
 
@@ -378,7 +354,6 @@ def _cmd_run(args) -> int:
                 engine=args.engine,
                 policy=policy,
                 collector=collector,
-                kernel=None if args.kernel == "auto" else args.kernel,
                 channel=channel,
                 scheduler=scheduler,
                 **_round_kernel_kwargs(args),
@@ -392,7 +367,6 @@ def _cmd_run(args) -> int:
             arbitrary_start=not args.fresh_start,
             c1=args.c1,
             engine=args.engine,
-            kernel=None if args.kernel == "auto" else args.kernel,
             channel=channel,
             scheduler=scheduler,
             **_round_kernel_kwargs(args),
@@ -419,7 +393,7 @@ def _cmd_run_repeated(args, graph) -> int:
         return 2
     measure = StabilizationRounds(
         variant=args.variant, c1=args.c1,
-        arbitrary_start=not args.fresh_start, kernel=args.kernel,
+        arbitrary_start=not args.fresh_start,
         channel=args.channel, scheduler=args.scheduler,
         **_round_kernel_kwargs(args),
     )
@@ -449,7 +423,7 @@ def _cmd_run_watch(args, graph, channel=None, scheduler=None) -> int:
         TwoChannelEngine if args.variant == "two_channel" else SingleChannelEngine
     )
     engine = engine_cls(
-        graph, policy, seed=args.seed, kernel=args.kernel,
+        graph, policy, seed=args.seed,
         channel=channel, scheduler=scheduler,
     )
     if not args.fresh_start:
@@ -480,7 +454,7 @@ def _cmd_sweep(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     measure = StabilizationRounds(
-        variant=args.variant, c1=args.c1, kernel=args.kernel,
+        variant=args.variant, c1=args.c1,
         channel=args.channel, scheduler=args.scheduler,
         **_round_kernel_kwargs(args),
     )
@@ -564,7 +538,6 @@ def _cmd_serve(args) -> int:
         degree_cap=cap,
         algorithm=args.algorithm,
         engine=args.engine,
-        kernel=args.kernel,
         channel=channel,
         scheduler=scheduler,
         seed=rng_from_sequence(engine_seq),

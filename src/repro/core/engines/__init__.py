@@ -1,7 +1,6 @@
 """Execution engines: array programs behind one beeping-model semantics.
 
-The package replaces the former monolithic ``repro.core.vectorized``
-module (kept as a thin compatibility shim):
+The numpy/scipy re-implementations of the algorithms, one module each:
 
 * :mod:`~repro.core.engines.base` — :class:`EngineBase` (shared
   adjacency/masks/legality), the :func:`drive` run-until-legal loop and

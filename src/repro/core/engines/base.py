@@ -36,9 +36,7 @@ from ..kernels import (
     HearKernel,
     PerRoundDraws,
     get_round_kernel,
-    make_kernel,
     plan_round_kernel,
-    resolve_kernel_name,
     structure_for,
 )
 from ..knowledge import EllMaxPolicy
@@ -281,7 +279,6 @@ class EngineBase:
         graph: Graph,
         policy: EllMaxPolicy,
         seed: SeedLike = None,
-        kernel: str = "auto",
         channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
         round_kernel: Optional[str] = None,
@@ -296,12 +293,7 @@ class EngineBase:
         # are read-only by contract.
         self.structure = structure_for(graph)
         self.adjacency = self.structure.csr
-        # The *resolved* kernel name is pinned at construction so that a
-        # later ``rebind`` keeps the same kernel implementation even if
-        # the ``auto`` heuristic would now pick a different one (swapping
-        # mid-run would keep trajectories identical but perturb timing).
-        self.kernel_name = resolve_kernel_name(kernel, self.structure)
-        self.kernel: HearKernel = make_kernel(self.kernel_name, self.structure)
+        self.kernel = HearKernel(self.structure)
         self.ell_max: npt.NDArray[np.int64] = np.asarray(
             policy.ell_max, dtype=np.int64
         )
@@ -337,8 +329,8 @@ class EngineBase:
         self._p_table = BeepTable(self.ell_max)
         # Optional fused-round tier (docs/performance.md, "Fused round
         # tier"): eligible runs delegate the whole loop to a RoundKernel
-        # in :meth:`until_stable`.  The resolved name is pinned here like
-        # the hear kernel's; the first eligible run builds the kernel.
+        # in :meth:`until_stable`.  The resolved name is pinned here; the
+        # first eligible run builds the kernel.
         self._round_plan = plan_round_kernel(round_kernel, 1)
         self._round_kernel: Optional["RoundKernel"] = None
 
@@ -405,7 +397,7 @@ class EngineBase:
         self.graph = structure.graph
         self.n = structure.n
         self.adjacency = structure.csr
-        self.kernel = make_kernel(self.kernel_name, structure)
+        self.kernel = HearKernel(structure)
         self._round_kernel = None
         self._floor = (
             -self.ell_max

@@ -19,8 +19,7 @@ of a solo :func:`~repro.core.engines.single.simulate_single` /
 :func:`~repro.core.engines.two_channel.simulate_two_channel` run seeded
 with ``np.random.default_rng(children[k])`` — asserted by
 ``tests/test_batched_engine.py``.  This is what makes the batched sweep
-executor byte-identical to the serial one.  The same contract holds for
-every registered hear kernel (``tests/test_kernels.py``).
+executor byte-identical to the serial one.
 """
 
 from __future__ import annotations
@@ -40,9 +39,7 @@ from ..kernels import (
     HearKernel,
     RoundKernel,
     get_round_kernel,
-    make_kernel,
     plan_round_kernel,
-    resolve_kernel_name,
     structure_for,
 )
 from ..knowledge import EllMaxPolicy
@@ -107,10 +104,6 @@ class BatchedEngine:
         *same* children to batched and solo paths.
     algorithm:
         ``"single"`` (Algorithm 1) or ``"two_channel"`` (Algorithm 2).
-    kernel:
-        Hear-kernel name (:mod:`repro.core.kernels`); ``"auto"`` picks
-        by graph size/density and the replica count.  Trajectories are
-        bit-identical for every kernel.
     channel, scheduler:
         Stress models (:mod:`repro.beeping.channels` /
         :mod:`repro.beeping.schedulers`).  Each replica binds its own
@@ -132,7 +125,6 @@ class BatchedEngine:
         seed: SeedSpec = None,
         seed_sequences: Optional[Sequence[np.random.SeedSequence]] = None,
         algorithm: str = "single",
-        kernel: str = "auto",
         channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
         round_kernel: Optional[str] = "auto",
@@ -161,14 +153,7 @@ class BatchedEngine:
         self.structure = structure_for(graph)
         self.adjacency = self.structure.csr
         self._adj_t = self.structure.csr_t
-        # Pinned at construction so ``rebind`` keeps the same kernel
-        # implementation across topology deltas (see EngineBase).
-        self.kernel_name = resolve_kernel_name(
-            kernel, self.structure, self.replicas
-        )
-        self.kernel: HearKernel = make_kernel(
-            self.kernel_name, self.structure, replicas=self.replicas
-        )
+        self.kernel = HearKernel(self.structure)
         self.ell_max = np.asarray(policy.ell_max, dtype=np.int64)
         self.rngs = [rng_from_sequence(s) for s in seed_sequences]
         # Per-replica stress models: the derivation draw (if any)
@@ -288,9 +273,7 @@ class BatchedEngine:
         self.n = structure.n
         self.adjacency = structure.csr
         self._adj_t = structure.csr_t
-        self.kernel = make_kernel(
-            self.kernel_name, structure, replicas=self.replicas
-        )
+        self.kernel = HearKernel(structure)
         self.ell_max = new_ell
         self._floor = (
             -self.ell_max if self._single else np.zeros_like(self.ell_max)
@@ -761,7 +744,6 @@ def simulate_batched(
     arbitrary_start: bool = False,
     check_every: int = 1,
     collector: Optional["BatchedCollector"] = None,
-    kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
     round_kernel: Optional[str] = "auto",
@@ -774,7 +756,6 @@ def simulate_batched(
         seed=seed,
         seed_sequences=seed_sequences,
         algorithm=algorithm,
-        kernel=kernel,
         channel=channel,
         scheduler=scheduler,
         round_kernel=round_kernel,

@@ -19,7 +19,6 @@ from ..kernels import (
     HearKernel,
     PerRoundDraws,
     get_round_kernel,
-    make_kernel,
     plan_round_kernel,
     structure_for,
 )
@@ -39,8 +38,7 @@ class ConstantStateEngine:
         self,
         graph: Graph,
         seed: SeedLike = None,
-        kernel: str = "auto",
-        channel: "ChannelLike" = None,
+            channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
         round_kernel: Optional[str] = None,
     ):
@@ -48,7 +46,7 @@ class ConstantStateEngine:
         self.n = graph.num_vertices
         self.structure = structure_for(graph)
         self.adjacency = self.structure.csr
-        self.kernel: HearKernel = make_kernel(kernel, self.structure)
+        self.kernel = HearKernel(self.structure)
         self.rng = resolve_rng(seed)
         # Stress models (docs/robustness.md); the defaults draw nothing
         # and keep the historical step path byte for byte.
@@ -116,7 +114,6 @@ def simulate_constant_state(
     seed: SeedLike = None,
     max_rounds: int = 1_000_000,
     arbitrary_start: bool = False,
-    kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
     round_kernel: Optional[str] = None,
@@ -130,7 +127,6 @@ def simulate_constant_state(
     engine = ConstantStateEngine(
         graph,
         seed,
-        kernel=kernel,
         channel=channel,
         scheduler=scheduler,
         round_kernel=round_kernel,

@@ -5,14 +5,12 @@ CLI) dispatch on an engine *name* rather than on hard-coded ``if``
 chains.  A backend is a callable with the uniform signature
 
     run(graph, policy, variant, seed, max_rounds, arbitrary_start,
-        collector=None, kernel=None, channel=None, scheduler=None,
-        round_kernel=None)
+        collector=None, channel=None, scheduler=None, round_kernel=None)
         -> outcome with .stabilized / .rounds / .mis
 
 (``collector`` is an optional trailing zero-perturbation observer — see
 :func:`repro.obs.collector_for_backend` for the shape each backend
-expects; ``kernel`` optionally names a hear kernel for backends that
-support one, ``None`` meaning the backend's default; ``channel`` /
+expects; ``channel`` /
 ``scheduler`` select the stress models of
 :mod:`repro.beeping.channels` / :mod:`repro.beeping.schedulers`,
 ``None`` meaning the byte-identical perfect/synchronous defaults;
@@ -124,7 +122,6 @@ def _run_vectorized(
     max_rounds: int,
     arbitrary_start: bool,
     collector: Any = None,
-    kernel: Optional[str] = None,
     channel: Any = None,
     scheduler: Any = None,
     round_kernel: Optional[str] = None,
@@ -140,7 +137,6 @@ def _run_vectorized(
         max_rounds=max_rounds,
         arbitrary_start=arbitrary_start,
         collector=collector,
-        kernel=kernel or "auto",
         channel=channel,
         scheduler=scheduler,
         round_kernel=round_kernel,
@@ -155,13 +151,10 @@ def _run_reference(
     max_rounds: int,
     arbitrary_start: bool,
     collector: Any = None,
-    kernel: Optional[str] = None,
     channel: Any = None,
     scheduler: Any = None,
     round_kernel: Optional[str] = None,
 ) -> Any:
-    if kernel is not None and kernel != "auto":
-        raise ValueError("the reference engine has no hear-kernel choice")
     if round_kernel is not None:
         raise ValueError("the reference engine has no round-kernel choice")
     if channel is not None and channel != "perfect":
@@ -195,7 +188,6 @@ def _run_batched(
     max_rounds: int,
     arbitrary_start: bool,
     collector: Any = None,
-    kernel: Optional[str] = None,
     channel: Any = None,
     scheduler: Any = None,
     round_kernel: Optional[str] = None,
@@ -212,7 +204,6 @@ def _run_batched(
         max_rounds=max_rounds,
         arbitrary_start=arbitrary_start,
         collector=collector,
-        kernel=kernel or "auto",
         channel=channel,
         scheduler=scheduler,
         round_kernel=round_kernel,

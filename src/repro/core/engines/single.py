@@ -81,7 +81,6 @@ def simulate_single(
     check_every: int = 1,
     record_series: bool = False,
     collector: Optional["RunCollector"] = None,
-    kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
     round_kernel: Optional[str] = None,
@@ -92,11 +91,9 @@ def simulate_single(
     configuration (the self-stabilization setting); otherwise the run
     starts from the fresh level-1 configuration, unless
     ``initial_levels`` overrides it.  ``collector`` attaches a
-    zero-perturbation :class:`repro.obs.RunCollector`.  ``kernel`` picks
-    the hear kernel (:mod:`repro.core.kernels`) — trajectories are
-    bit-identical for every kernel.  ``channel`` / ``scheduler`` select
-    the stress models of :mod:`repro.beeping.channels` /
-    :mod:`repro.beeping.schedulers`; the defaults reproduce the
+    zero-perturbation :class:`repro.obs.RunCollector`.  ``channel`` /
+    ``scheduler`` select the stress models of :mod:`repro.beeping.channels`
+    / :mod:`repro.beeping.schedulers`; the defaults reproduce the
     historical trajectories byte for byte.  ``round_kernel`` opts into
     the fused-round tier (byte-identical, engaged only when the
     configuration is eligible — see ``docs/performance.md``).
@@ -105,7 +102,6 @@ def simulate_single(
         graph,
         policy,
         seed,
-        kernel=kernel,
         channel=channel,
         scheduler=scheduler,
         round_kernel=round_kernel,

@@ -80,7 +80,6 @@ def simulate_two_channel(
     check_every: int = 1,
     record_series: bool = False,
     collector: Optional["RunCollector"] = None,
-    kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
     round_kernel: Optional[str] = None,
@@ -94,7 +93,6 @@ def simulate_two_channel(
         graph,
         policy,
         seed,
-        kernel=kernel,
         channel=channel,
         scheduler=scheduler,
         round_kernel=round_kernel,

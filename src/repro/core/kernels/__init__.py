@@ -1,36 +1,25 @@
-"""Hear kernels and the shared graph-structure cache.
+"""The hear kernel, the fused round kernels and the shared structure cache.
 
 The execution engines delegate every "who heard ≥ 1 beep" aggregation —
-reception, the blocked/dominated tests, legality — to a pluggable
-:class:`HearKernel` chosen here, and share all derived adjacency forms
-(CSR, dense, packed bitset) through one content-keyed
-:func:`structure_for` cache.  See ``docs/performance.md`` for the kernel
-selection heuristic, cache semantics, and the shared-memory sweep path.
+reception, the blocked/dominated tests, legality — to one
+:class:`HearKernel` over the graph's int32 CSR adjacency, and share
+that adjacency through one content-keyed :func:`structure_for` cache.
+See ``docs/performance.md`` for the hear measurements, cache semantics,
+and the shared-memory sweep path.
 """
 
-from .hear import (
-    BitsetKernel,
-    DenseBoolKernel,
-    HearKernel,
-    KERNEL_ALIASES,
-    SparseInt32Kernel,
-    available_kernels,
-    make_kernel,
-    resolve_kernel_name,
-)
+from .hear import HearKernel, resolve_kernel_name
 from .round import (
     AUTO_PACKED_MIN_REPLICAS,
     MAX_EXPONENT,
     BeepTable,
     BlockDraws,
     BlockOutcome,
-    FusedNumbaRoundKernel,
     FusedNumpyRoundKernel,
     FusedPackedRoundKernel,
     PerRoundDraws,
     ROUND_KERNEL_ALIASES,
     RoundKernel,
-    RoundKernelUnavailable,
     available_round_kernels,
     get_round_kernel,
     plan_round_kernel,
@@ -60,18 +49,10 @@ __all__ = [
     "export_structures",
     "seed_worker_structures",
     "HearKernel",
-    "SparseInt32Kernel",
-    "DenseBoolKernel",
-    "BitsetKernel",
-    "KERNEL_ALIASES",
-    "available_kernels",
     "resolve_kernel_name",
-    "make_kernel",
     "RoundKernel",
     "FusedNumpyRoundKernel",
     "FusedPackedRoundKernel",
-    "FusedNumbaRoundKernel",
-    "RoundKernelUnavailable",
     "BlockOutcome",
     "PerRoundDraws",
     "BlockDraws",

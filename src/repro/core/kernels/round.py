@@ -1,14 +1,13 @@
 """Fused round kernels: whole-round execution for a block of replicas.
 
-The hear kernels (:mod:`repro.core.kernels.hear`) accelerate one
+The hear kernel (:mod:`repro.core.kernels.hear`) computes one
 *operation* of the round; the engines still assemble each round from a
 dozen separate numpy dispatches plus the run-loop bookkeeping around
 them.  At the n ≤ 1024 sizes the Theorem-2.1/2.2 sweeps actually run,
 that per-round dispatch overhead — not arithmetic — dominates wall
 time.  A :class:`RoundKernel` owns the *full* round (hear →
 beep-decision → level update → legality/retirement) for a ``(k, n)``
-block of replicas, behind the same named-registry pattern as the hear
-tier:
+block of replicas, behind a named registry:
 
 * ``fused_numpy`` — the portable baseline: one tight function per
   round, every buffer preallocated, the hear delegated to a
@@ -19,8 +18,6 @@ tier:
   is an AND-reduction over words — 64 replicas advance per word
   operation.  Levels stay as int32 planes (the arithmetic blend is
   exact there and memory-bound either way).
-* ``fused_numba`` — an optional ``@njit`` backend; registry-gated and
-  reported unavailable when numba is not installed.
 
 Byte-identity contract
 ----------------------
@@ -59,7 +56,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
 import numpy as np
 import numpy.typing as npt
 
-from .hear import HearKernel, make_kernel
+from .hear import HearKernel
 from .structure import GraphStructure
 
 __all__ = [
@@ -67,8 +64,6 @@ __all__ = [
     "RoundKernel",
     "FusedNumpyRoundKernel",
     "FusedPackedRoundKernel",
-    "FusedNumbaRoundKernel",
-    "RoundKernelUnavailable",
     "ROUND_KERNEL_ALIASES",
     "available_round_kernels",
     "resolve_round_kernel_name",
@@ -97,10 +92,6 @@ AUTO_PACKED_MIN_REPLICAS = 16
 #: Bit weights of one packed byte: replica ``8·j + b`` is bit ``b`` of
 #: byte ``j`` of a vertex's words (little-endian words and bit order).
 _BIT_WEIGHTS = (1 << np.arange(8)).astype(np.uint8)[:, None]  # repro: allow[RPR302] packing
-
-
-class RoundKernelUnavailable(RuntimeError):
-    """A registered backend cannot run here (e.g. numba not installed)."""
 
 
 @dataclass
@@ -363,9 +354,7 @@ class RoundKernel:
         self._constant = algorithm == "constant_state"
         #: The hear backend for the boolean aggregation sub-steps that
         #: stay unpacked (legality confirms, the numpy baseline's hear).
-        self._hear: HearKernel = make_kernel(
-            "auto", structure, replicas=max(replicas, 1)
-        )
+        self._hear = HearKernel(structure)
         if self._constant:
             self.ell_max = None
             self._ell32 = None
@@ -562,7 +551,7 @@ class RoundKernel:
         return live
 
     # ------------------------------------------------------------------
-    # Round bodies (numpy baseline; packed/numba backends override)
+    # Round bodies (numpy baseline; the packed backend overrides)
     # ------------------------------------------------------------------
     def _hear_block(
         self, rows: npt.NDArray[np.bool_], out: npt.NDArray[np.bool_]
@@ -860,7 +849,7 @@ class FusedPackedRoundKernel(RoundKernel):
         For every vertex ``v``, ``heard_words[v] = OR of beep_words[u]
         over u ∈ N(v)`` — bit ``r`` of the result is exactly replica
         ``r``'s ``(A @ beeps) > 0`` boolean, so the unpacked plane is
-        bit-identical to every hear kernel.
+        bit-identical to the hear kernel's.
         """
         live = self._cur_live
         if self._constant or rows.shape[0] != (2 * live if self._two else live):
@@ -1000,154 +989,31 @@ class FusedPackedRoundKernel(RoundKernel):
             words[full] = np.uint64((1 << rem) - 1)
 
 
-class FusedNumbaRoundKernel(FusedNumpyRoundKernel):
-    """Optional ``@njit`` backend (registry-gated).
-
-    Compiles the single-channel round body to one nopython function
-    (beep decision, CSR hear, and level select in a single pass over
-    the block); the other algorithms inherit the numpy bodies.  The
-    backend registers unconditionally but construction raises
-    :class:`RoundKernelUnavailable` when numba is not importable, which
-    is how callers (and tests) skip it cleanly.  The compiled body caps
-    levels at one global ℓmax, so non-uniform policies run the
-    inherited numpy body.
-    """
-
-    name = "fused_numba"
-
-    def __init__(
-        self,
-        structure: GraphStructure,
-        *,
-        algorithm: str,
-        ell_max: npt.ArrayLike,
-        replicas: int = 1,
-    ):
-        if not numba_available():
-            raise RoundKernelUnavailable(
-                "round kernel 'fused_numba' requires numba, which is not "
-                "installed; use 'fused_packed' or 'fused_numpy'"
-            )
-        super().__init__(
-            structure, algorithm=algorithm, ell_max=ell_max, replicas=replicas
-        )
-        csr = structure.csr
-        self._nb_indptr = np.asarray(csr.indptr, dtype=np.int64)
-        self._nb_indices = np.asarray(csr.indices, dtype=np.int64)
-        self._nb_round = _compile_single_round() if self._single else None
-
-    def _step_single(
-        self,
-        cur: npt.NDArray[np.int32],
-        nxt: npt.NDArray[np.int32],
-        k: int,
-    ) -> None:
-        table = self._p_table
-        if self._nb_round is None or not table.uniform:
-            super()._step_single(cur, nxt, k)
-            return
-        draws = self._serve()[:k]
-        self._nb_round(
-            cur,
-            nxt,
-            np.ascontiguousarray(draws),
-            table.table,
-            np.int32(table.offset),
-            self._nb_indptr,
-            self._nb_indices,
-            self._beeps[:k],
-            self._heard[:k],
-        )
-        # Keep the packed/legality mask state coherent for _retire.
-
-
-def numba_available() -> bool:
-    """True iff the optional numba dependency can be imported."""
-    try:  # pragma: no cover - environment-dependent
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True  # pragma: no cover - numba-present environments only
-
-
-def _compile_single_round():  # pragma: no cover - requires numba
-    """Compile the Algorithm-1 round body (called once per process)."""
-    from numba import njit
-
-    @njit(cache=True)
-    def single_round(
-        cur, nxt, draws, table, ell, indptr, indices, beeps, heard
-    ):
-        k, n = cur.shape
-        for r in range(k):
-            for v in range(n):
-                beeps[r, v] = draws[r, v] < table[cur[r, v] + ell]
-        for r in range(k):
-            for v in range(n):
-                h = False
-                for j in range(indptr[v], indptr[v + 1]):
-                    if beeps[r, indices[j]]:
-                        h = True
-                        break
-                heard[r, v] = h
-        for r in range(k):
-            for v in range(n):
-                level = cur[r, v]
-                if heard[r, v]:
-                    nl = level + 1
-                    if nl > ell:
-                        nl = ell
-                elif beeps[r, v]:
-                    nl = -ell
-                else:
-                    nl = level - 1
-                    if nl < 1:
-                        nl = 1
-                nxt[r, v] = nl
-
-    return single_round
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 _ROUND_KERNELS: Dict[str, Type[RoundKernel]] = {
     FusedNumpyRoundKernel.name: FusedNumpyRoundKernel,
     FusedPackedRoundKernel.name: FusedPackedRoundKernel,
-    FusedNumbaRoundKernel.name: FusedNumbaRoundKernel,
 }
 
 #: CLI-friendly short names (plus ``auto``).
 ROUND_KERNEL_ALIASES: Dict[str, str] = {
     "numpy": FusedNumpyRoundKernel.name,
     "packed": FusedPackedRoundKernel.name,
-    "numba": FusedNumbaRoundKernel.name,
 }
 
 
 def available_round_kernels() -> Tuple[str, ...]:
-    """Registered *runnable* round-kernel names, sorted.
-
-    ``fused_numba`` is listed only when numba is importable — the
-    registry gate that lets callers skip the optional backend cleanly.
-    """
-    names = [
-        name
-        for name in _ROUND_KERNELS
-        if name != FusedNumbaRoundKernel.name or numba_available()
-    ]
-    return tuple(sorted(names))
+    """Registered round-kernel names, sorted."""
+    return tuple(sorted(_ROUND_KERNELS))
 
 
 def resolve_round_kernel_name(name: str) -> str:
     """Canonical round-kernel name (aliases and ``auto`` resolved).
 
-    ``auto`` picks ``fused_packed`` — the word-parallel backend, with no
-    optional dependency; whether a block is big enough for it is
-    :func:`plan_round_kernel`'s call.  Requesting ``fused_numba``
-    without numba raises :class:`RoundKernelUnavailable` at
-    construction, not here, so the name stays resolvable for registry
-    listings.
+    ``auto`` picks ``fused_packed``, the word-parallel backend; whether a
+    block is big enough for it is :func:`plan_round_kernel`'s call.
     """
     name = ROUND_KERNEL_ALIASES.get(name, name)
     if name == "auto":
@@ -1191,8 +1057,7 @@ def get_round_kernel(
     This is the one blessed construction point: engines must route
     round-kernel creation through here rather than instantiating the
     ``Fused*RoundKernel`` classes directly (lint rule RPR403), so the
-    registry gate — including the numba availability check — is never
-    bypassed.  ``auto`` always builds ``fused_packed`` here; whether a
+    registry's name resolution is never bypassed.  ``auto`` always builds ``fused_packed`` here; whether a
     block is big enough for it is the engines' call
     (:func:`plan_round_kernel`).
     """

@@ -2,12 +2,12 @@
 
 The sweep executors regenerate each configuration's graph inside every
 worker process and then (pre-kernel) rebuilt its CSR per engine
-instance.  This module ships each *distinct* graph's derived structure
-once instead: the parent exports the big arrays (edge list, packed
-bitset) into one ``multiprocessing.shared_memory`` segment per graph,
-workers attach at pool-initializer time and seed their local structure
-cache with zero-copy views onto the segment.  The CSR is not shipped:
-the worker's :class:`Graph` builds its own from the shared edge list.
+instance.  This module ships each *distinct* graph's edge list once
+instead: the parent exports it into one ``multiprocessing.shared_memory``
+segment per graph (``16·m`` bytes), workers attach at pool-initializer
+time and seed their local structure cache with zero-copy views onto the
+segment.  The CSR is not shipped: the worker's :class:`Graph` builds its
+own from the shared edge list.
 
 Lifecycle contract — statically enforced by the RPR701–RPR705 rules of
 ``repro check`` (see the "concurrency & lifecycle contract" section of
@@ -42,7 +42,7 @@ import sys
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -90,37 +90,21 @@ def _release_segments(segments: List[shared_memory.SharedMemory]) -> None:
             pass
         _LIVE_EXPORTS.discard(segment.name)
 
-#: (field name, dtype string) layout of one exported structure, in
-#: segment order.  Shapes are derived from ``n``/``m``/``words``.
-_FIELDS: Tuple[Tuple[str, str], ...] = (
-    ("edges", "int64"),
-    ("packed", "uint64"),
-)
-
 
 @dataclass(frozen=True)
 class SharedStructureManifest:
     """Everything a worker needs to attach one graph's structure.
 
-    ``offsets`` maps field name → byte offset inside the segment; shapes
-    are recomputed from ``n``/``m``/``words`` so the manifest stays a few
-    hundred bytes regardless of graph size.
+    The segment holds the ``(m, 2)`` int64 canonical edge array from
+    byte 0, so the manifest stays a few hundred bytes regardless of
+    graph size.
     """
 
     segment: str
     digest: str
     n: int
     m: int
-    words: int
-    offsets: Dict[str, int]
     total_bytes: int
-
-
-def _field_shapes(n: int, m: int, words: int) -> Dict[str, Tuple[int, ...]]:
-    return {
-        "edges": (m, 2),
-        "packed": (n, words),
-    }
 
 
 class SharedStructureSet:
@@ -171,33 +155,16 @@ def export_structures(graphs: Sequence[Graph]) -> SharedStructureSet:
 def _export_one(
     structure: GraphStructure,
 ) -> Tuple[SharedStructureManifest, shared_memory.SharedMemory]:
-    n, m, words = structure.n, structure.num_edges, structure.words
-    shapes = _field_shapes(n, m, words)
-    arrays = {
-        "edges": structure.edge_array,
-        "packed": structure.packed,
-    }
-    offsets: Dict[str, int] = {}
-    cursor = 0
-    for field, dtype in _FIELDS:
-        offsets[field] = cursor
-        cursor += int(np.dtype(dtype).itemsize) * int(np.prod(shapes[field]))
-    total = max(cursor, 1)  # zero-byte segments are not allowed
+    n, m = structure.n, structure.num_edges
+    total = max(16 * m, 1)  # zero-byte segments are not allowed
     segment = shared_memory.SharedMemory(create=True, size=total)
-    for field, dtype in _FIELDS:
-        array = np.ascontiguousarray(arrays[field], dtype=np.dtype(dtype))
-        view = np.ndarray(
-            shapes[field], dtype=np.dtype(dtype),
-            buffer=segment.buf, offset=offsets[field],
-        )
-        view[...] = array
+    view = np.ndarray((m, 2), dtype=np.int64, buffer=segment.buf)
+    view[...] = structure.edge_array
     manifest = SharedStructureManifest(
         segment=segment.name,
         digest=structure.digest,
         n=n,
         m=m,
-        words=words,
-        offsets=offsets,
         total_bytes=total,
     )
     return manifest, segment
@@ -241,24 +208,15 @@ def attach_structure(
 
     The reconstructed :class:`Graph` is content-equal to the parent's, so
     it keys the same cache slot.  The Graph builds its own read-only edge
-    and CSR arrays from the shared edge list in one vectorized pass; the
-    bitset is a read-only view onto the shared buffer.  ``untrack=True`` (worker processes only — never
-    in the segment-owning parent) drops the attachment from this
+    and CSR arrays from the read-only shared edge list in one vectorized
+    pass.  ``untrack=True`` (worker processes only — never in the
+    segment-owning parent) drops the attachment from this
     process's ``resource_tracker`` so only the owner unlinks.
     """
     segment = _attach_segment(manifest.segment, untrack)
-    shapes = _field_shapes(manifest.n, manifest.m, manifest.words)
-    views: Dict[str, np.ndarray] = {}
-    for field, dtype in _FIELDS:
-        view = np.ndarray(
-            shapes[field], dtype=np.dtype(dtype),
-            buffer=segment.buf, offset=manifest.offsets[field],
-        )
-        view.flags.writeable = False
-        views[field] = view
-
-    structure = GraphStructure(Graph(manifest.n, views["edges"]))
-    structure._packed = views["packed"]
+    edges = np.ndarray((manifest.m, 2), dtype=np.int64, buffer=segment.buf)
+    edges.flags.writeable = False
+    structure = GraphStructure(Graph(manifest.n, edges))
     structure._segments = (segment,)
     return structure
 

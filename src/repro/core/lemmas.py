@@ -35,7 +35,7 @@ import numpy as np
 from ..devtools.seeding import SeedLike, resolve_rng
 from ..graphs.graph import Graph
 from .knowledge import EllMaxPolicy
-from .vectorized import SingleChannelEngine
+from .engines import SingleChannelEngine
 
 __all__ = [
     "Lemma31Report",

@@ -121,7 +121,6 @@ def compute_mis(
     engine: str = "vectorized",
     policy: Optional[EllMaxPolicy] = None,
     collector: Optional[object] = None,
-    kernel: Optional[str] = None,
     channel: Optional[object] = None,
     scheduler: Optional[object] = None,
     round_kernel: Optional[str] = None,
@@ -158,15 +157,9 @@ def compute_mis(
         one with :func:`repro.obs.collector_for_backend` — the expected
         shape differs per backend).  Forwarded to the backend only when
         set, so backends without observability support keep working.
-    kernel:
-        Hear-kernel name (``"auto"``/``"sparse"``/``"dense"``/
-        ``"bitset"``, see :mod:`repro.core.kernels`); ``None`` keeps the
-        backend's default.  Trajectories are bit-identical for every
-        kernel, so this is purely a performance knob.  Forwarded only
-        when set, as with ``collector``.
     round_kernel:
         Fused-round tier name (``"auto"``/``"fused_numpy"``/
-        ``"fused_packed"``/``"fused_numba"``, see
+        ``"fused_packed"``, see
         :mod:`repro.core.kernels`); ``None`` keeps the per-step loop,
         and so does ``"auto"`` on a one-replica run.  Byte-identical on
         eligible configurations and falls back to the step loop
@@ -206,8 +199,6 @@ def compute_mis(
     extra: Dict[str, object] = {}
     if collector is not None:
         extra["collector"] = collector
-    if kernel is not None:
-        extra["kernel"] = kernel
     if channel is not None:
         extra["channel"] = channel
     if scheduler is not None:

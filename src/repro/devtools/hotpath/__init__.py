@@ -7,7 +7,7 @@ region from the call graph and flags array allocations, dtype churn,
 Python-level array loops, per-call scratch rebinding, and
 logging/profiling bypasses inside it (see :mod:`.rules` for the
 catalogue and :mod:`.engine` for the inference).  A runtime twin
-(:mod:`.audit`) drives every engine × kernel combo to steady state and
+(:mod:`.audit`) drives every engine combo to steady state and
 measures actual bytes/round with ``tracemalloc``, so the static
 contract is backstopped by a measured one.
 

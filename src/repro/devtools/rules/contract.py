@@ -130,9 +130,8 @@ class RoundKernelRegistryRule(Rule):
     title = "round kernel constructed outside the registry"
     rationale = (
         "get_round_kernel() is the one blessed construction point of the "
-        "fused-round tier: it resolves aliases, applies the numba "
-        "availability gate, and keeps every engine's fast path "
-        "byte-identical to the step loop it replaces.  An engine that "
+        "fused-round tier: it resolves aliases and keeps every engine's "
+        "fast path byte-identical to the step loop it replaces.  An engine that "
         "instantiates a Fused*RoundKernel directly (or open-codes a "
         "second fused loop around one) forks the tier — the registry "
         "gate, the differential oracles and the hot-path audit all stop "
@@ -163,6 +162,5 @@ class RoundKernelRegistryRule(Rule):
                     node,
                     f"direct {callee}(...) construction; round kernels "
                     "are built via get_round_kernel() so the registry "
-                    "gate (aliases, numba availability, byte-identity "
-                    "coverage) applies",
+                    "gate (aliases, byte-identity coverage) applies",
                 )

@@ -162,9 +162,6 @@ class MISService:
     engine:
         ``"vectorized"`` (solo array engine) or ``"batched"`` (the
         (R, n) engine with one replica, exercising that code path).
-    kernel:
-        Hear-kernel name; ``"auto"`` resolves once at construction and
-        stays pinned across rebinds.
     channel, scheduler:
         Stress models (:mod:`repro.beeping.channels` /
         :mod:`repro.beeping.schedulers`): serve under an unreliable
@@ -194,7 +191,6 @@ class MISService:
         degree_cap: Optional[int] = None,
         algorithm: str = "single",
         engine: str = "vectorized",
-        kernel: str = "auto",
         channel: Optional[object] = None,
         scheduler: Optional[object] = None,
         seed: SeedLike = 0,
@@ -230,17 +226,17 @@ class MISService:
         if self._batched:
             self._engine: Union[EngineBase, BatchedEngine] = BatchedEngine(
                 graph, policy, replicas=1, seed=seed,
-                algorithm=algorithm, kernel=kernel,
+                algorithm=algorithm,
                 channel=channel, scheduler=scheduler,
             )
         elif algorithm == "two_channel":
             self._engine = TwoChannelEngine(
-                graph, policy, seed=seed, kernel=kernel,
+                graph, policy, seed=seed,
                 channel=channel, scheduler=scheduler,
             )
         else:
             self._engine = SingleChannelEngine(
-                graph, policy, seed=seed, kernel=kernel,
+                graph, policy, seed=seed,
                 channel=channel, scheduler=scheduler,
             )
         self._stabilize()  # serve a legal MIS from the very first op

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.churn import carry_levels, restabilize_after_churn, rewire_edges
 from repro.core.knowledge import max_degree_policy, uniform_policy
-from repro.core.vectorized import simulate_single
+from repro.core.engines import simulate_single
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.graphs.mis import check_mis

@@ -13,7 +13,7 @@ from repro.beeping.network import BeepingNetwork
 from repro.core.algorithm_single import SelfStabilizingMIS
 from repro.core.algorithm_two_channel import TwoChannelMIS
 from repro.core.knowledge import max_degree_policy, neighborhood_degree_policy, own_degree_policy
-from repro.core.vectorized import SingleChannelEngine, TwoChannelEngine
+from repro.core.engines import SingleChannelEngine, TwoChannelEngine
 from repro.graphs import generators as gen
 
 from conftest import small_graph_zoo
@@ -108,7 +108,7 @@ def test_constant_state_trajectories_identical():
 
     from repro.baselines.constant_state import FewStatesMIS, IN, OUT
     from repro.beeping.algorithm import LocalKnowledge
-    from repro.core.vectorized import ConstantStateEngine
+    from repro.core.engines import ConstantStateEngine
 
     graph = gen.erdos_renyi_mean_degree(50, 5.0, seed=3)
     seed = 42

@@ -471,7 +471,8 @@ def test_bench_envelope_embeds_the_allocation_audit(tmp_path, monkeypatch):
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     allocation = payload["envelope"]["parameters"]["allocation"]
     assert allocation["ok"] is True
-    assert len(allocation["bytes_per_round"]) == 19
+    # 5 engine combos on the one hear kernel + 6 fused-round combos.
+    assert len(allocation["bytes_per_round"]) == 11
     opt_out = harness.save_bench_rows(
         "hotpath_audit_test2", [{"n": 8}], audit_allocations=False
     )

@@ -1,11 +1,10 @@
 """``update_structure`` must be byte-identical to a from-scratch build.
 
-The incremental path patches only dirty CSR rows / dense cells / bitset
-words, so the natural failure mode is a subtly different array (wrong
-dtype, unsorted row, stale bit) that still *behaves* right on most
-graphs.  Every test here therefore compares raw bytes of every derived
-form — CSR (indptr/indices/data), dense, packed bitset, and the edge
-array — against ``GraphStructure`` built fresh on the post-delta graph,
+The incremental path patches only dirty CSR rows, so the natural
+failure mode is a subtly different array (wrong dtype, unsorted row,
+stale entry) that still *behaves* right on most graphs.  Every test
+here therefore compares raw bytes of every derived form — CSR
+(indptr/indices/data) and the edge array — against ``GraphStructure`` built fresh on the post-delta graph,
 across the six delta patterns the serving workload produces:
 
 1. single edge add,
@@ -38,8 +37,6 @@ def _materialized(graph):
     structure = GraphStructure(graph)
     structure.edge_array
     structure.csr
-    structure.dense
-    structure.packed
     return structure
 
 
@@ -54,10 +51,6 @@ def assert_identical(patched, fresh):
         want = getattr(fresh.csr, attr)
         assert got.dtype == want.dtype, attr
         assert got.tobytes() == want.tobytes(), attr
-    assert patched.dense.dtype == fresh.dense.dtype
-    assert patched.dense.tobytes() == fresh.dense.tobytes()
-    assert patched.packed.dtype == fresh.packed.dtype
-    assert patched.packed.tobytes() == fresh.packed.tobytes()
 
 
 def _check(structure, topo, delta):
@@ -170,19 +163,22 @@ def test_chained_patches_stay_identical():
 
 
 def test_patch_preserves_laziness_and_source():
-    """Only materialized forms are patched; the rest build lazily and
-    still match; the source structure is never touched."""
+    """A built CSR is patched, an unbuilt one stays lazy and still
+    matches; the source structure is never touched."""
     graph = _graph()
     topo = MutableTopology(graph)
+    lazy = GraphStructure(graph)
     structure = GraphStructure(graph)
-    structure.csr  # materialize CSR only
+    structure.csr  # materialize the CSR on one source only
     csr_bytes = structure.csr.indices.tobytes()
     delta = topo.remove_edge(*topo.edges()[0])
+    patched_lazy = update_structure(lazy, delta)
     patched = update_structure(structure, delta)
-    assert patched._dense is None and patched._packed is None
+    assert patched_lazy._csr is None and patched._csr is not None
+    assert_identical(patched_lazy, GraphStructure(topo.snapshot()))
     assert_identical(patched, GraphStructure(topo.snapshot()))
-    # Source structure unchanged (shared-structure read-only contract).
-    assert structure._dense is None
+    # Source structures unchanged (shared-structure read-only contract).
+    assert lazy._csr is None
     assert structure.csr.indices.tobytes() == csr_bytes
     assert structure.num_edges == graph.num_edges
 

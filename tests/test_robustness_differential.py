@@ -8,7 +8,7 @@ three ways:
 
 * a hand-rolled oracle of the *pre-change* step loop (plain numpy on
   the raw adjacency, no engine machinery) is compared per round against
-  today's engines, across kernels and seeds;
+  today's engines, across seeds and the historical hear methods;
 * the defaults are compared against explicitly-passed
   ``perfect`` / ``synchronous`` specs, across engines and executors;
 * under *noise*, solo and batched replicas must still agree bit for
@@ -29,12 +29,16 @@ from repro.core.engines import (
 )
 from repro.core.engines.constant_state import simulate_constant_state
 from repro.core.engines.base import MAX_EXPONENT
-from repro.core.kernels import structure_for
+from repro.core.kernels import resolve_kernel_name, structure_for
 from repro.core.runner import compute_mis, policy_for_variant
 from repro.devtools.seeding import spawn_children
 from repro.graphs.generators import by_name
 from repro.obs import RunCollector, StructureView
 
+# The engines once took ``kernel=``, and every choice heard the same
+# booleans.  The axis now lives on the oracle side: each case hears the
+# way that kernel did (``auto`` resolves to the one kernel left), so the
+# surviving engine is checked against every historical hear method.
 KERNELS = ("auto", "sparse", "dense", "bitset")
 ORACLE_ROUNDS = 60
 
@@ -43,15 +47,25 @@ def _graph(n=48, seed=0):
     return by_name("er", n, seed=seed)
 
 
-def _hear(adjacency, active):
-    return (adjacency @ active.astype(np.int64)) > 0
+def _oracle_hear(graph, kernel):
+    csr = structure_for(graph).csr
+    if kernel == "auto":
+        assert resolve_kernel_name(kernel) == "sparse_int32"
+        kernel = "sparse"
+    if kernel == "sparse":
+        return lambda active: (csr @ active.astype(np.int64)) > 0
+    dense = csr.toarray().astype(bool)
+    if kernel == "dense":
+        return lambda active: (dense & active[None, :]).any(axis=1)
+    rows = np.packbits(dense, axis=1)
+    return lambda active: (rows & np.packbits(active)).any(axis=1)
 
 
 # ----------------------------------------------------------------------
 # Hand-rolled pre-change oracles (the historical step loops, verbatim)
 # ----------------------------------------------------------------------
-def _oracle_single(graph, policy, seed, rounds):
-    adjacency = structure_for(graph).csr
+def _oracle_single(graph, policy, seed, rounds, kernel):
+    hear = _oracle_hear(graph, kernel)
     ell_max = np.asarray(policy.ell_max, dtype=np.int64)
     rng = np.random.default_rng(seed)
     floor = -ell_max
@@ -65,15 +79,15 @@ def _oracle_single(graph, policy, seed, rounds):
         p[levels <= 0] = 1.0
         p[levels >= ell_max] = 0.0
         beeps = draws < p
-        heard = _hear(adjacency, beeps)
+        heard = hear(beeps)
         up = np.minimum(levels + 1, ell_max)
         down = np.maximum(levels - 1, 1)
         levels = np.where(heard, up, np.where(beeps, -ell_max, down))
         yield levels
 
 
-def _oracle_two_channel(graph, policy, seed, rounds):
-    adjacency = structure_for(graph).csr
+def _oracle_two_channel(graph, policy, seed, rounds, kernel):
+    hear = _oracle_hear(graph, kernel)
     ell_max = np.asarray(policy.ell_max, dtype=np.int64)
     rng = np.random.default_rng(seed)
     span = ell_max + 1
@@ -86,8 +100,8 @@ def _oracle_two_channel(graph, policy, seed, rounds):
         active = (levels > 0) & (levels < ell_max)
         beep1 = active & (draws < p1)
         beep2 = levels == 0
-        heard1 = _hear(adjacency, beep1)
-        heard2 = _hear(adjacency, beep2)
+        heard1 = hear(beep1)
+        heard2 = hear(beep2)
         up = np.minimum(levels + 1, ell_max)
         down = np.maximum(levels - 1, 1)
         levels = np.where(
@@ -98,14 +112,14 @@ def _oracle_two_channel(graph, policy, seed, rounds):
         yield levels
 
 
-def _oracle_constant_state(graph, seed, rounds):
-    adjacency = structure_for(graph).csr
+def _oracle_constant_state(graph, seed, rounds, kernel):
+    hear = _oracle_hear(graph, kernel)
     rng = np.random.default_rng(seed)
     in_mis = rng.integers(0, 2, size=graph.num_vertices).astype(bool)
     yield in_mis
     for _ in range(rounds):
         draws = rng.random(graph.num_vertices)
-        heard = _hear(adjacency, in_mis)
+        heard = hear(in_mis)
         coin = draws < 0.5
         retreat = in_mis & heard & coin
         rejoin = ~in_mis & ~heard & coin
@@ -118,9 +132,9 @@ def _oracle_constant_state(graph, seed, rounds):
 def test_single_engine_matches_pre_change_oracle(kernel, seed):
     graph = _graph()
     policy = policy_for_variant(graph, "max_degree")
-    engine = SingleChannelEngine(graph, policy, seed=seed, kernel=kernel)
+    engine = SingleChannelEngine(graph, policy, seed=seed)
     engine.randomize_levels()
-    oracle = _oracle_single(graph, policy, seed, ORACLE_ROUNDS)
+    oracle = _oracle_single(graph, policy, seed, ORACLE_ROUNDS, kernel)
     np.testing.assert_array_equal(engine.levels, next(oracle))
     for expected in oracle:
         engine.step()
@@ -132,9 +146,9 @@ def test_single_engine_matches_pre_change_oracle(kernel, seed):
 def test_two_channel_engine_matches_pre_change_oracle(kernel, seed):
     graph = _graph()
     policy = policy_for_variant(graph, "two_channel")
-    engine = TwoChannelEngine(graph, policy, seed=seed, kernel=kernel)
+    engine = TwoChannelEngine(graph, policy, seed=seed)
     engine.randomize_levels()
-    oracle = _oracle_two_channel(graph, policy, seed, ORACLE_ROUNDS)
+    oracle = _oracle_two_channel(graph, policy, seed, ORACLE_ROUNDS, kernel)
     np.testing.assert_array_equal(engine.levels, next(oracle))
     for expected in oracle:
         engine.step()
@@ -145,9 +159,9 @@ def test_two_channel_engine_matches_pre_change_oracle(kernel, seed):
 @pytest.mark.parametrize("seed", (0, 7))
 def test_constant_state_engine_matches_pre_change_oracle(kernel, seed):
     graph = _graph()
-    engine = ConstantStateEngine(graph, seed=seed, kernel=kernel)
+    engine = ConstantStateEngine(graph, seed=seed)
     engine.randomize()
-    oracle = _oracle_constant_state(graph, seed, ORACLE_ROUNDS)
+    oracle = _oracle_constant_state(graph, seed, ORACLE_ROUNDS, kernel)
     np.testing.assert_array_equal(engine.in_mis, next(oracle))
     for expected in oracle:
         engine.step()

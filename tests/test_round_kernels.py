@@ -6,8 +6,8 @@ configuration the fused loop reproduces the per-step loop *byte for
 byte*, including the position of every RNG stream afterwards, and on
 every ineligible configuration the engine runs the historical step loop
 and reports why.  These tests pin the registry surface, the identity on
-all three algorithms across both always-available backends, the numba
-gate, the batched draw-cursor fallback, survival across a topology
+all three algorithms across both backends, the batched draw-cursor
+fallback, survival across a topology
 ``rebind``, and the ``auto`` rule with the recorded round path.
 """
 
@@ -20,14 +20,12 @@ from repro.core.engines.single import SingleChannelEngine
 from repro.core.engines.two_channel import TwoChannelEngine
 from repro.core.kernels import (
     BlockDraws,
-    RoundKernelUnavailable,
     available_round_kernels,
     get_round_kernel,
     plan_round_kernel,
     resolve_round_kernel_name,
     structure_for,
 )
-from repro.core.kernels.round import numba_available
 from repro.core.runner import compute_mis, policy_for_variant
 from repro.graphs.generators import by_name
 
@@ -60,26 +58,7 @@ def test_unknown_name_lists_choices():
 
 
 def test_always_available_backends_listed():
-    names = available_round_kernels()
-    assert "fused_numpy" in names
-    assert "fused_packed" in names
-
-
-def test_numba_backend_is_registry_gated():
-    if numba_available():  # pragma: no cover - numba not in CI image
-        structure = structure_for(_graph())
-        kern = get_round_kernel(
-            "fused_numba", structure, algorithm="single", ell_max=6
-        )
-        assert kern is not None
-        return
-    # Without numba the name is hidden from the availability listing and
-    # construction fails with the dedicated, catchable error.
-    assert "fused_numba" not in available_round_kernels()
-    with pytest.raises(RoundKernelUnavailable, match="numba"):
-        get_round_kernel(
-            "fused_numba", structure_for(_graph()), algorithm="single", ell_max=6
-        )
+    assert available_round_kernels() == ("fused_numpy", "fused_packed")
 
 
 def test_reference_engine_rejects_round_kernel():

@@ -14,7 +14,7 @@ from repro.core.knowledge import (
     neighborhood_degree_policy,
     own_degree_policy,
 )
-from repro.core.vectorized import (
+from repro.core.engines import (
     SingleChannelEngine,
         simulate_single,
     simulate_two_channel,

@@ -21,7 +21,7 @@ from repro.beeping.simulator import run_until_stable
 from repro.core.algorithm_single import SelfStabilizingMIS
 from repro.core.algorithm_two_channel import TwoChannelMIS
 from repro.core.knowledge import max_degree_policy, neighborhood_degree_policy
-from repro.core.vectorized import SingleChannelEngine
+from repro.core.engines import SingleChannelEngine
 from repro.graphs import generators as gen
 from repro.graphs.mis import check_mis
 

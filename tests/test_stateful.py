@@ -20,7 +20,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.core.knowledge import explicit_policy
 from repro.core.stability import legal_single
-from repro.core.vectorized import SingleChannelEngine
+from repro.core.engines import SingleChannelEngine
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.mis import check_mis
 
