@@ -217,8 +217,9 @@ def plan_run(
     ``plan`` is the engine's :func:`plan_round_kernel` choice.  Its
     kernel runs unless the run is ineligible; then ``kernel`` is
     ``None`` (the step loop) and the reason says why.  Channels and
-    schedulers hook the round per step, and collectors and series
-    observe every round.
+    schedulers hook the round per step, and a solo ``RunCollector`` or
+    ``record_series`` evaluates structure every round.  Batched runs pass
+    ``collector=None``: the round kernel feeds a ``BatchedCollector``.
     """
     if plan[0] is None:
         return plan

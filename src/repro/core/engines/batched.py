@@ -40,6 +40,8 @@ from ..kernels import (
     RoundKernel,
     get_round_kernel,
     plan_round_kernel,
+    row_counts,
+    structure_columns,
     structure_for,
 )
 from ..knowledge import EllMaxPolicy
@@ -148,8 +150,8 @@ class BatchedEngine:
         self.replicas = len(seed_sequences)
         self.algorithm = algorithm
         # Derived adjacency forms come from the shared structure cache;
-        # ``adjacency``/``_adj_t`` stay as the aliases collectors and
-        # tests read (the matrix is symmetric, so both are one object).
+        # ``adjacency``/``_adj_t`` stay as the aliases tests and the
+        # sanitizer read (the matrix is symmetric, so both are one object).
         self.structure = structure_for(graph)
         self.adjacency = self.structure.csr
         self._adj_t = self.structure.csr_t
@@ -215,15 +217,22 @@ class BatchedEngine:
         )
         self._cursor = np.full(self.replicas, self._draw_block, dtype=np.intp)
         self._draw_fns = [rng.random for rng in self.rngs]
-        # Candidate MIS rows stashed by the last ``_legal_rows`` call
-        # (None when that pass found no candidates or never ran).
+        # Candidate rows' positions and MIS/dominated masks stashed by the
+        # last ``_legal_rows`` call (None when that pass found no
+        # candidates or never ran).
         self._mis_scratch: Optional[
-            Tuple[npt.NDArray[np.intp], npt.NDArray[np.bool_]]
+            Tuple[npt.NDArray[np.intp], npt.NDArray[np.bool_], npt.NDArray[np.bool_]]
         ] = None
         # Per-call legality vector, sliced to the active row count —
         # shape (R,), so it survives rebinds untouched.  ``_legal_rows``
         # returns views of it; ``legal_mask`` copies before publishing.
         self._legal_scratch = np.empty(self.replicas, dtype=bool)
+        # Observed step loops: every row is a legality candidate, and the
+        # collector's columns (see ``structure_columns``) land here.
+        self._all_rows = np.ones(self.replicas, dtype=bool)
+        self._columns = np.empty(
+            (3 if self._single else 4, self.replicas), dtype=np.int32
+        )
         self._p_table = BeepTable(self._ell_max32)
         # Fused-round tier: eligible runs delegate the retirement loop to
         # a round kernel.  The choice is pinned here; the first eligible
@@ -363,28 +372,32 @@ class BatchedEngine:
         return in_mis | dominated
 
     def _legal_rows(
-        self, levels: npt.NDArray[np.int32]
+        self, levels: npt.NDArray[np.int32], prune: bool = True
     ) -> npt.NDArray[np.bool_]:
-        # Prune (same necessary condition as EngineBase.is_legal): a
-        # legal row holds only floor/ℓmax levels.  Rows failing it — in
-        # practice every still-converging replica — skip the hear calls.
-        candidates = np.all(
-            (levels == self._floor32) | (levels == self._ell_max32), axis=1
-        )
         legal = self._legal_scratch[: levels.shape[0]]
         legal[:] = False
         self._mis_scratch = None
-        if not candidates.any():
-            return legal
+        if prune:
+            # Same necessary condition as EngineBase.is_legal: a legal
+            # row holds only floor/ℓmax levels.  Rows failing it — in
+            # practice every still-converging replica — skip the hears.
+            candidates = np.all(
+                (levels == self._floor32) | (levels == self._ell_max32), axis=1
+            )
+            if not candidates.any():
+                return legal
+        else:
+            # Observed runs need the masks of every row.
+            candidates = self._all_rows[: levels.shape[0]]
         rows = levels if candidates.all() else levels[candidates]
         in_mis = self._mis_mask_rows(rows)
         dominated = self.kernel.hear_rows(in_mis)
         others_ok = (rows == self._ell_max32) & dominated
         legal[candidates] = np.all(in_mis | others_ok, axis=1)
-        # Stash the candidate MIS rows (positions relative to ``levels``)
-        # so the run loop can read a retiring replica's MIS straight out
-        # of this legality pass instead of re-deriving it per replica.
-        self._mis_scratch = (np.flatnonzero(candidates), in_mis)
+        # Stash the candidate masks (positions relative to ``levels``) so
+        # the run loop can read a retiring replica's MIS, and a collector
+        # its columns, straight out of this legality pass.
+        self._mis_scratch = (np.flatnonzero(candidates), in_mis, dominated)
         return legal
 
     def legal_mask(self) -> npt.NDArray[np.bool_]:
@@ -611,31 +624,34 @@ class BatchedEngine:
         2·check_every, …`` plus at budget exhaustion — so each replica's
         ``rounds`` equals the solo run's.
 
-        ``collector`` (a :class:`repro.obs.BatchedCollector`) observes the
-        active rows before every step and the channel-1 beeps after; its
-        per-row legality — the exact :meth:`_legal_rows` formula — is
-        *reused* for retirement, so observability shares the legality
-        matvecs instead of duplicating them.  Collectors read but never
-        mutate state and draw no randomness, so trajectories are
-        bit-identical with or without one.
+        ``collector`` (a :class:`repro.obs.BatchedCollector`) reads each
+        round's per-replica columns, counted from the unpruned legality
+        pass the loop runs anyway, and each step's channel-1 beeps.  On
+        an eligible configuration the fused round kernel feeds it the
+        same columns, so an observed run stays on the fast path.
+        Collectors read but never mutate state and draw no randomness,
+        so trajectories are bit-identical with or without one.
         """
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
         if collector is not None:
-            collector.view.adopt_engine(self)
+            collector.attach(self)
         if initial_levels is not None:
             self.set_levels(initial_levels)
         elif arbitrary_start:
             self.randomize_levels()
 
-        kernel, reason = plan_run(self._round_plan, self._stress, collector)
+        # A collector does not veto the fused path: the kernel feeds it.
+        kernel, reason = plan_run(self._round_plan, self._stress, None)
         if kernel is not None:
             draws = BlockDraws(self._blocks, self._cursor, self._draw_fns)
             # Aligned cursors are a precondition of the fused serve loop;
             # they can diverge only after a partial step-loop run retired
             # some replicas mid-block — fall back to the step loop then.
             if draws.aligned():
-                return self._run_fused(kernel, draws, max_rounds, check_every)
+                return self._run_fused(
+                    kernel, draws, max_rounds, check_every, collector
+                )
             reason = "misaligned_cursor"
 
         results: List[Optional[VectorizedResult]] = [None] * self.replicas
@@ -644,32 +660,26 @@ class BatchedEngine:
         executed = 0
         while active_idx.size:
             should_check = executed % check_every == 0 or executed >= max_rounds
-            scratch = None
-            if collector is not None:
-                legal = collector.observe_structure(self.levels, active_idx)
-            elif should_check:
+            if collector is not None or should_check:
                 rows = (
                     self.levels
                     if active_idx.size == self.replicas
                     else self.levels[active_idx]
                 )
-                legal = self._legal_rows(rows)
-                scratch = self._mis_scratch
+                legal = self._legal_rows(rows, prune=collector is None)
+                if collector is not None:
+                    self._observe(collector, rows, active_idx, legal)
             if should_check and legal.any():
+                # The legality pass stashed the candidates' MIS masks: a
+                # retiring row's MIS is read, not re-derived.
+                positions, mis_rows, _ = self._mis_scratch  # type: ignore[misc]
                 for i in np.nonzero(legal)[0]:
                     r = int(active_idx[i])
-                    if scratch is not None:
-                        # The legality pass already holds this row's MIS
-                        # mask — read it instead of re-deriving it.
-                        positions, mis_rows = scratch
-                        j = int(np.searchsorted(positions, i))
-                        mis = frozenset(np.flatnonzero(mis_rows[j]).tolist())
-                    else:
-                        mis = self.mis_vertices(r)
+                    j = int(np.searchsorted(positions, i))
                     results[r] = VectorizedResult(
                         stabilized=True,
                         rounds=executed,
-                        mis=mis,
+                        mis=frozenset(np.flatnonzero(mis_rows[j]).tolist()),
                         final_levels=self.levels[r].copy(),
                     )
                     active[r] = False
@@ -691,24 +701,45 @@ class BatchedEngine:
             if active_idx.size:
                 beep1 = self.step(active, active_idx=active_idx)
                 if collector is not None:
-                    collector.observe_beeps(beep1, active_idx)
+                    collector.observe_beeps(active_idx, row_counts(beep1))
             executed += 1
         return BatchedResult(
             results=cast(List[VectorizedResult], results),
             fallback_reason=reason,
         )
 
+    def _observe(
+        self,
+        collector: "BatchedCollector",
+        rows: npt.NDArray[np.int32],
+        active_idx: npt.NDArray[np.intp],
+        legal: npt.NDArray[np.bool_],
+    ) -> None:
+        """Hand the collector the columns of an unpruned legality pass."""
+        _, in_mis, dominated = self._mis_scratch  # type: ignore[misc]
+        k = rows.shape[0]
+        columns = structure_columns(
+            rows, in_mis, dominated, self._heard[:k], self._columns[:, :k]
+        )
+        collector.observe_structure(active_idx, rows, columns, legal)
+
     def _run_fused(
-        self, kernel: str, draws: BlockDraws, max_rounds: int, check_every: int
+        self,
+        kernel: str,
+        draws: BlockDraws,
+        max_rounds: int,
+        check_every: int,
+        collector: Optional["BatchedCollector"] = None,
     ) -> BatchedResult:
         """Delegate the retirement loop to the bound fused round kernel.
 
         The kernel serves uniforms from the engine's own pre-drawn
         blocks/cursors (``BlockDraws``), advances ``self.levels`` in
-        place, and records each replica's outcome at its retirement
-        round — byte-identical to the step loop above, replica for
-        replica (asserted by ``tests/test_round_kernels.py``).  The
-        kernel is built here on the first eligible run.
+        place, feeds ``collector`` every round, and records each
+        replica's outcome at its retirement round — byte-identical to
+        the step loop above, replica for replica (asserted by
+        ``tests/test_round_kernels.py``).  The kernel is built here on
+        the first eligible run.
         """
         if self._round_kernel is None:
             self._round_kernel = get_round_kernel(
@@ -716,10 +747,21 @@ class BatchedEngine:
                 ell_max=self.ell_max, replicas=self.replicas,
             )
         outcomes, executed = self._round_kernel.run_block(
-            self.levels, draws, max_rounds, check_every
+            self.levels, draws, max_rounds, check_every, observer=collector
         )
         draws.finish()
         self.round_index += executed
+        if collector is not None:
+            # Registry aggregates in the step loop's order: by retirement
+            # round, stabilized before exhausted, then ascending replica.
+            order = sorted(
+                range(self.replicas),
+                key=lambda r: (outcomes[r].rounds, not outcomes[r].stabilized, r),
+            )
+            for r in order:
+                collector.finalize_replica(
+                    r, outcomes[r].stabilized, outcomes[r].rounds
+                )
         results = [
             VectorizedResult(
                 stabilized=o.stabilized,

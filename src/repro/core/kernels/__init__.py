@@ -24,6 +24,8 @@ from .round import (
     get_round_kernel,
     plan_round_kernel,
     resolve_round_kernel_name,
+    row_counts,
+    structure_columns,
 )
 from .shm import (
     SharedStructureManifest,
@@ -64,6 +66,8 @@ __all__ = [
     "BeepTable",
     "MAX_EXPONENT",
     "AUTO_PACKED_MIN_REPLICAS",
+    "row_counts",
+    "structure_columns",
     "GraphStructure",
     "structure_for",
     "seed_structure",

@@ -46,12 +46,27 @@ retirement position exactly like the step loop's (its draw stream is
 simply dropped from the refill set), and the caller's level block is
 rebuilt row for row from the recorded retirement copies on exit, so
 the in-place result is identical to the engines'.
+
+Observed runs
+-------------
+``run_block(..., observer=collector)`` keeps a metrics-on run on the
+fused loop.  The legality prune is skipped: the full test runs on the
+whole live prefix every round, into preallocated scratch, so both of its
+hears take the backend's block hear.  The kernel counts the Section-3
+columns per live row from the masks that test already holds — ``|I_t|``,
+``|S_t|``, ``|PM_t|`` and channel-2 beeps (:func:`structure_columns`),
+plus channel-1 beeps after the step — and hands them to the observer by
+replica id (through the compaction permutation) before it retires rows.
+The observer reads; it never touches levels or draws, so trajectories
+stay byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Dict, FrozenSet, List, Optional, Protocol, Sequence, Tuple, Type,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -74,6 +89,8 @@ __all__ = [
     "MAX_EXPONENT",
     "AUTO_PACKED_MIN_REPLICAS",
     "plan_round_kernel",
+    "row_counts",
+    "structure_columns",
 ]
 
 #: Accepted algorithm tags (mirrors the engines' vocabulary).
@@ -107,6 +124,64 @@ class BlockOutcome:
     rounds: int
     mis: FrozenSet[int] = field(default_factory=frozenset)
     final_levels: Optional[np.ndarray] = None
+
+
+class RoundObserver(Protocol):
+    """What a fused run reports to when observed (``BatchedCollector``).
+
+    Replica ids may come in any order; each call's arrays are aligned to
+    its ``replicas`` and are scratch the caller reuses next round.
+    """
+
+    def observe_structure(
+        self,
+        replicas: npt.NDArray[np.intp],
+        levels: npt.NDArray[np.int32],
+        columns: npt.NDArray[np.int32],
+        legal: npt.NDArray[np.bool_],
+    ) -> None:
+        """Start-of-round columns (see :func:`structure_columns`)."""
+
+    def observe_beeps(
+        self, replicas: npt.NDArray[np.intp], counts: npt.NDArray[np.int32]
+    ) -> None:
+        """Channel-1 beeps per stepped replica, right after the step."""
+
+
+def row_counts(
+    mask: npt.NDArray[np.bool_], out: Optional[npt.NDArray[np.int32]] = None
+) -> npt.NDArray[np.int32]:
+    """Per-row popcount of a boolean block.
+
+    ``einsum`` over the int8 view with an int32 accumulator beats
+    ``mask.sum(axis=1)`` by ~2x at batched-row sizes.
+    """
+    return np.einsum("ij->i", mask.view(np.int8), dtype=np.int32, out=out)
+
+
+def structure_columns(
+    levels: npt.NDArray[np.int32],
+    in_mis: npt.NDArray[np.bool_],
+    dominated: npt.NDArray[np.bool_],
+    scratch: npt.NDArray[np.bool_],
+    out: npt.NDArray[np.int32],
+) -> npt.NDArray[np.int32]:
+    """The Section-3 columns of a ``(k, n)`` block, written into ``out``.
+
+    Rows of ``out`` (shape ``(3, k)``, or ``(4, k)`` for two channels):
+    ``|I_t|``, ``|S_t| = |I_t ∪ N(I_t)|``, ``|PM_t| = |{ℓ ≤ 0}|`` and the
+    channel-2 beeps ``|{ℓ = 0}|``.  ``in_mis``/``dominated`` are the
+    legality test's masks; ``scratch`` is a ``(k, n)`` bool buffer.
+    """
+    row_counts(in_mis, out[0])
+    np.logical_or(in_mis, dominated, out=scratch)
+    row_counts(scratch, out[1])
+    np.less_equal(levels, 0, out=scratch)
+    row_counts(scratch, out[2])
+    if out.shape[0] == 4:
+        np.equal(levels, 0, out=scratch)
+        row_counts(scratch, out[3])
+    return out
 
 
 class BeepTable:
@@ -388,6 +463,9 @@ class RoundKernel:
         self._plane = np.empty((k, n), dtype=np.int32)
         self._cand = np.empty(k, dtype=bool)
         self._row_any = np.empty(k, dtype=bool)
+        # Observed runs: the Section-3 columns and channel-1 beep counts.
+        self._columns = np.empty((4 if self._two else 3, k), dtype=np.int32)
+        self._beep_counts = np.empty(k, dtype=np.int32)
         self._cur_live = k
         self._draws_source: "PerRoundDraws | BlockDraws | None" = None
 
@@ -413,6 +491,7 @@ class RoundKernel:
         draws: "PerRoundDraws | BlockDraws",
         max_rounds: int,
         check_every: int = 1,
+        observer: Optional[RoundObserver] = None,
     ) -> Tuple[List[BlockOutcome], int]:
         """Drive a ``(k, n)`` int32 level block to per-row legality.
 
@@ -423,6 +502,10 @@ class RoundKernel:
         the module docstring), and ``levels`` is rebuilt in place from
         the per-replica retirement copies on exit.  Returns
         ``(outcomes, steps_executed)``.
+
+        ``observer`` (see "Observed runs" in the module docstring) gets
+        every round's columns, whatever the check cadence, exactly as
+        the engines' step loop feeds a collector.
         """
         if self._constant:
             raise ValueError("run_block is for level algorithms; use run_constant")
@@ -431,7 +514,7 @@ class RoundKernel:
         self._draws_source = draws
         k = levels.shape[0]
         outcomes: List[Optional[BlockOutcome]] = [None] * k
-        perm = list(range(k))
+        perm = np.arange(k)
         live = k
         self._begin_run(k)
         cur = levels
@@ -441,9 +524,13 @@ class RoundKernel:
         step = self._step_single if self._single else self._step_two
         while True:
             should_check = executed % check_every == 0 or executed >= max_rounds
+            verdict = None
+            if observer is not None:
+                verdict = self._observe_legal(cur[:live], perm[:live], observer)
             if should_check:
                 live = self._retire_legal(
-                    cur, live, perm, outcomes, executed, masks_fresh, draws
+                    cur, live, perm, outcomes, executed, masks_fresh, draws,
+                    verdict,
                 )
                 if live == 0:
                     break
@@ -462,6 +549,11 @@ class RoundKernel:
                 cur, nxt = nxt, cur
             else:
                 step(cur[:live], live)
+            if observer is not None:
+                beep1 = self._beeps[:live] if self._single else self._stack[:live]
+                observer.observe_beeps(
+                    perm[:live], row_counts(beep1, self._beep_counts[:live])
+                )
             masks_fresh = True
             executed += 1
         # Compaction permuted the block rows (and the single channel may
@@ -498,17 +590,59 @@ class RoundKernel:
         np.all(eq, axis=1, out=cand)
         return cand
 
+    def _observe_legal(
+        self,
+        cur: npt.NDArray[np.int32],
+        replicas: npt.NDArray[np.intp],
+        observer: RoundObserver,
+    ) -> Tuple[npt.NDArray[np.bool_], npt.NDArray[np.bool_]]:
+        """Full legality of the live prefix ``cur``, reported to ``observer``.
+
+        The unpruned twin of :meth:`_retire_legal`'s test, on
+        preallocated scratch: both hears see ``live`` rows and so take
+        :meth:`_hear_block`.  The beep scratch holds ``in_mis`` (the
+        last step's beeps were already counted).  Returns
+        ``(legal, in_mis)`` over the live rows.
+        """
+        k = cur.shape[0]
+        ne = self._mask_a[:k]
+        np.not_equal(cur, self._ell32, out=ne)
+        free = self._hear_block(ne, self._heard[:k])
+        np.logical_not(free, out=free)
+        in_mis = self._beeps[:k]
+        np.equal(cur, self._floor32, out=in_mis)
+        np.logical_and(in_mis, free, out=in_mis)
+        dominated = self._hear_block(in_mis, self._heard[:k])
+        ok = self._mask_a[:k]
+        np.equal(cur, self._ell32, out=ok)
+        np.logical_and(ok, dominated, out=ok)
+        np.logical_or(ok, in_mis, out=ok)
+        legal = self._cand[:k]
+        np.all(ok, axis=1, out=legal)
+        columns = structure_columns(
+            cur, in_mis, dominated, self._mask_b[:k], self._columns[:, :k]
+        )
+        observer.observe_structure(replicas, cur, columns, legal)
+        return legal, in_mis
+
     def _retire_legal(
         self,
         cur: npt.NDArray[np.int32],
         live: int,
-        perm: List[int],
+        perm: npt.NDArray[np.intp],
         outcomes: List[Optional[BlockOutcome]],
         executed: int,
         masks_fresh: bool,
         draws: "PerRoundDraws | BlockDraws",
+        verdict: Optional[
+            Tuple[npt.NDArray[np.bool_], npt.NDArray[np.bool_]]
+        ] = None,
     ) -> int:
         """Test-and-retire legal rows; returns the new live count.
+
+        ``verdict`` is an observed run's ``(legal, in_mis)`` over the
+        whole live prefix; without one, the prune picks candidate rows
+        and the full test runs on those alone.
 
         Retirement compacts the live prefix: the last live row *moves*
         into the retired slot (levels row, draw stream, and permutation
@@ -516,24 +650,28 @@ class RoundKernel:
         ``[0, live)``.  Rows are processed in descending order so each
         move sources a still-live tail row.
         """
-        cand = self._candidate_rows(cur[:live], masks_fresh)
-        if not cand.any():
-            return live
-        # Candidate rows are rare (at/after convergence), so the full
-        # test runs on a data-dependent gather; its intermediates are
-        # shaped by the candidate count and cannot be preallocated.
-        idx = np.flatnonzero(cand)
-        rows = cur[idx]
-        ne = rows != self._ell32
-        blocked = self._hear.hear_rows(ne)
-        in_mis = (rows == self._floor32) & ~blocked
-        dominated = self._hear.hear_rows(in_mis)
-        ok = in_mis | ((rows == self._ell32) & dominated)
-        legal = np.all(ok, axis=1)
+        if verdict is None:
+            cand = self._candidate_rows(cur[:live], masks_fresh)
+            if not cand.any():
+                return live
+            # Candidate rows are rare (at/after convergence), so the full
+            # test runs on a data-dependent gather; its intermediates are
+            # shaped by the candidate count and cannot be preallocated.
+            idx = np.flatnonzero(cand)
+            rows = cur[idx]
+            ne = rows != self._ell32
+            blocked = self._hear.hear_rows(ne)
+            in_mis = (rows == self._floor32) & ~blocked
+            dominated = self._hear.hear_rows(in_mis)
+            ok = in_mis | ((rows == self._ell32) & dominated)
+            legal = np.all(ok, axis=1)
+        else:
+            legal, in_mis = verdict
+            idx = None
         if not legal.any():
             return live
         for jj in np.flatnonzero(legal)[::-1].tolist():
-            j = int(idx[jj])
+            j = jj if idx is None else int(idx[jj])
             outcomes[perm[j]] = BlockOutcome(
                 stabilized=True,
                 rounds=executed,
@@ -823,23 +961,36 @@ class FusedPackedRoundKernel(RoundKernel):
         # legality prune needs is a plain word OR.
         w1 = (k + 63) // 64
         self._w1 = w1
-        words = 2 * w1 if self._two else w1
-        self._beep_words = np.zeros((n, words), dtype=np.uint64)
-        self._heard_words = np.zeros((n, words), dtype=np.uint64)
-        # Byte images of the words plus pack/unpack scratch.  Bytes past
-        # a block's live rows keep stale bits that nothing reads: unpacking
-        # stops at the live rows and the prune masks with ``_alive_words``.
+        # One word plane set per block height the hear packs: ``live``
+        # rows (one channel — the single-channel step and every legality
+        # hear) and, for two channels, the stacked ``2·live`` step block.
+        self._planes1 = self._word_planes(w1)
+        self._planes2 = self._word_planes(2 * w1) if self._two else None
+        main = self._planes2 if self._two else self._planes1
+        self._beep_words, self._heard_words = main[0], main[1]
+        # Pack/unpack scratch.  Bytes past a block's live rows keep stale
+        # bits that nothing reads: unpacking stops at the live rows and
+        # the prune masks with ``_alive_words``.
         nbytes = (k + 7) // 8
-        self._beep_bytes = self._beep_words.view(np.uint8)  # repro: allow[RPR302] packing
-        self._heard_bytes = self._heard_words.view(np.uint8)  # repro: allow[RPR302] packing
         self._bit_planes = np.empty((nbytes, 8, n), dtype=np.uint8)  # repro: allow[RPR302] packing
         self._byte_rows = np.empty((nbytes, n), dtype=np.uint8)  # repro: allow[RPR302] packing
-        self._gather = np.empty((self._indices.size, words), dtype=np.uint64)
-        self._union_words = np.empty((n, words), dtype=np.uint64)
+        self._union_words = np.empty_like(self._beep_words)
         self._cross_words = np.empty((n, w1), dtype=np.uint64)
         self._alive_words = np.empty(w1, dtype=np.uint64)
         self._covered = np.empty(w1, dtype=np.uint64)
         self._after_shrink(k)
+
+    def _word_planes(self, words: int) -> Tuple[np.ndarray, ...]:
+        """Beep/heard words ``(n, words)``, their byte images, and gather."""
+        beep = np.zeros((self.n, words), dtype=np.uint64)
+        heard = np.zeros((self.n, words), dtype=np.uint64)
+        return (
+            beep,
+            heard,
+            beep.view(np.uint8),  # repro: allow[RPR302] packing
+            heard.view(np.uint8),  # repro: allow[RPR302] packing
+            np.empty((self._indices.size, words), dtype=np.uint64),
+        )
 
     def _hear_block(
         self, rows: npt.NDArray[np.bool_], out: npt.NDArray[np.bool_]
@@ -849,24 +1000,25 @@ class FusedPackedRoundKernel(RoundKernel):
         For every vertex ``v``, ``heard_words[v] = OR of beep_words[u]
         over u ∈ N(v)`` — bit ``r`` of the result is exactly replica
         ``r``'s ``(A @ beeps) > 0`` boolean, so the unpacked plane is
-        bit-identical to the hear kernel's.
+        bit-identical to the hear kernel's.  A block of ``live`` rows
+        packs one channel; the two-channel step's stacked ``2·live``
+        block packs both, each half from a word boundary.
         """
         live = self._cur_live
-        if self._constant or rows.shape[0] != (2 * live if self._two else live):
-            # Legality confirms and the constant baseline hand in
-            # data-dependent row counts; route them through the
-            # unpacked hear kernel (identical booleans).
-            return self._hear.hear_rows(rows, out=out)
-        byte2 = 8 * self._w1
-        if self._two:
-            self._pack_rows(rows[:live], 0)
-            self._pack_rows(rows[live:], byte2)
+        if not self._constant and rows.shape[0] == live:
+            planes, channels = self._planes1, 1
+        elif self._two and rows.shape[0] == 2 * live:
+            planes, channels = self._planes2, 2
         else:
-            self._pack_rows(rows, 0)
-        beep_words = self._beep_words
-        heard_words = self._heard_words
+            # The constant baseline and unobserved legality confirms hand
+            # in other row counts; route them through the unpacked hear
+            # kernel (identical booleans).
+            return self._hear.hear_rows(rows, out=out)
+        beep_words, heard_words, beep_bytes, heard_bytes, gather = planes
+        byte2 = 8 * self._w1
+        for c in range(channels):
+            self._pack_rows(rows[c * live : (c + 1) * live], c * byte2, beep_bytes)
         if self._starts.size:
-            gather = self._gather
             np.take(beep_words, self._indices, axis=0, out=gather)
             reduced = np.bitwise_or.reduceat(gather, self._starts, axis=0)
             if self._has_empty:
@@ -875,15 +1027,14 @@ class FusedPackedRoundKernel(RoundKernel):
                 heard_words[self._nonempty] = reduced
             else:
                 np.copyto(heard_words, reduced)
-        if self._two:
-            self._unpack_rows(0, out[:live])
-            self._unpack_rows(byte2, out[live:])
-        else:
-            self._unpack_rows(0, out)
+        for c in range(channels):
+            self._unpack_rows(c * byte2, out[c * live : (c + 1) * live], heard_bytes)
         return out
 
-    def _pack_rows(self, rows: npt.NDArray[np.bool_], byte0: int) -> None:
-        """Pack contiguous bool ``rows`` into the beep words from ``byte0``."""
+    def _pack_rows(
+        self, rows: npt.NDArray[np.bool_], byte0: int, beep_bytes: np.ndarray
+    ) -> None:
+        """Pack contiguous bool ``rows`` into ``beep_bytes`` from ``byte0``."""
         n = self.n
         full, rem = divmod(rows.shape[0], 8)
         planes, acc = self._bit_planes, self._byte_rows
@@ -895,15 +1046,17 @@ class FusedPackedRoundKernel(RoundKernel):
             np.multiply(rows[8 * full :], _BIT_WEIGHTS[:rem], out=planes[full, :rem])
             np.bitwise_or.reduce(planes[full, :rem], axis=0, out=acc[full])
         nb = full + (rem > 0)
-        self._beep_bytes[:, byte0 : byte0 + nb] = acc[:nb].T
+        beep_bytes[:, byte0 : byte0 + nb] = acc[:nb].T
 
-    def _unpack_rows(self, byte0: int, out: npt.NDArray[np.bool_]) -> None:
-        """Unpack the heard words from ``byte0`` into contiguous ``out``."""
+    def _unpack_rows(
+        self, byte0: int, out: npt.NDArray[np.bool_], heard_bytes: np.ndarray
+    ) -> None:
+        """Unpack ``heard_bytes`` from ``byte0`` into contiguous ``out``."""
         n = self.n
         full, rem = divmod(out.shape[0], 8)
         planes, acc = self._bit_planes, self._byte_rows
         nb = full + (rem > 0)
-        np.copyto(acc[:nb], self._heard_bytes[:, byte0 : byte0 + nb].T)
+        np.copyto(acc[:nb], heard_bytes[:, byte0 : byte0 + nb].T)
         if full:
             np.bitwise_and(acc[:full, None, :], _BIT_WEIGHTS, out=planes[:full])
             blocks = out[: 8 * full].reshape(full, 8, n)

@@ -297,12 +297,66 @@ def _fused_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
             yield f"fused:{algo}×{backend}", step
 
 
+def _fused_observed_combos(
+    graph: Any,
+) -> Iterator[Tuple[str, Callable[[], object]]]:
+    """Observed fused runs: the kernel feeds a ``BatchedCollector``.
+
+    Same run-granularity step as :func:`_fused_combos`, with a collector
+    reading every round's columns.  Each step clears the record list the
+    run filled, so what remains is the observation path's own retention.
+    """
+    from ...core.kernels import PerRoundDraws, get_round_kernel, structure_for
+    from ...core.knowledge import uniform_policy
+    from ...obs.collectors import BatchedCollector, StructureView
+
+    policy = uniform_policy(graph, ell_max=6)
+    structure = structure_for(graph)
+    n = graph.num_vertices
+    replicas = 4
+    for algo in ("single", "two_channel"):
+        two = algo == "two_channel"
+        kern = get_round_kernel(
+            "fused_packed",
+            structure,
+            algorithm=algo,
+            ell_max=policy.ell_max,
+            replicas=replicas,
+        )
+        collector = BatchedCollector(
+            StructureView.from_policy(graph, policy, two_channel=two),
+            replicas=replicas,
+            level_hist=True,
+        )
+        rng = np.random.default_rng(_AUDIT_SEED)
+        init = rng.integers(
+            0 if two else -6, 7, size=(replicas, n)
+        ).astype(np.int32)
+        state = init.copy()
+
+        def step(
+            kern: Any = kern,
+            collector: Any = collector,
+            init: Any = init,
+            state: Any = state,
+            rng: Any = rng,
+        ) -> object:
+            np.copyto(state, init)
+            draws = PerRoundDraws([rng] * state.shape[0], state.shape[1])
+            _, executed = kern.run_block(state, draws, 8, 1, observer=collector)
+            collector.records.clear()
+            return executed
+
+        yield f"fused-observed:{algo}×fused_packed", step
+
+
 def _all_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
     yield from _solo_combos(graph)
     yield from _constant_state_combos(graph)
     yield from _batched_combos(graph)
     yield from _stressed_combo(graph)
     yield from _fused_combos(graph)
+    yield from _fused_observed_combos(graph)
 
 
 def allocation_summary(

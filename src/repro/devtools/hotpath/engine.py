@@ -208,7 +208,7 @@ class HotpathAnalyzer:
                 "is_legal", "legal_mask", "_legal_rows", "_mis_mask_rows",
             })
         if cls_name == "StructureView":
-            return frozenset({"hear", "hear_rows", "received", "received_rows"})
+            return frozenset({"hear"})
         if cls_name.endswith("RoundKernel"):
             # The fused tier owns the whole round: the run loops are
             # drivers (loop bodies only), and the per-round step bodies

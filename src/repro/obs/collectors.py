@@ -19,11 +19,15 @@ adjacency — a collector never draws randomness and never mutates engine
 state, so enabling one cannot change an execution (the zero-perturbation
 contract, enforced by ``tests/test_observability.py``).
 
-The collectors deliberately recompute the legality predicate with the
-exact formula of :meth:`repro.core.engines.base.EngineBase.is_legal`:
-the run loops then *reuse* the collector's verdict instead of evaluating
-legality twice, which is what keeps metrics-on overhead small (the two
-sparse matvecs per round are shared, not duplicated).
+:class:`RunCollector` (solo runs) evaluates the legality predicate
+itself, with the exact formula of
+:meth:`repro.core.engines.base.EngineBase.is_legal`, and the solo run
+loop reuses its verdict.  :class:`BatchedCollector` evaluates nothing:
+the batched run loop that already tests legality — the fused round
+kernel on the fast path, the engine's step loop otherwise — counts the
+per-replica columns from that test's masks
+(:func:`repro.core.kernels.structure_columns`) and hands them over, so
+recording metrics keeps a batched run on ``fused_packed``.
 
 Record convention (matches ``drive()`` / :class:`TraceRecorder`): a
 record describes a round that was actually *executed* — structure at the
@@ -72,7 +76,6 @@ class StructureView:
     ell_max: npt.NDArray[np.int64]
     floor: npt.NDArray[np.int64]
     channels: int = 1
-    _adj_t: Any = None  # transpose, materialized lazily for row blocks
     graph: Optional[Graph] = None  # lazy-build source when adjacency is None
     kernel: Any = None  # HearKernel, adopted from the engine or lazy-built
     #: BoundChannel of the observed solo engine — adopted only when the
@@ -102,17 +105,15 @@ class StructureView:
 
     @classmethod
     def from_batched_engine(cls, engine: Any) -> "StructureView":
-        """View onto a :class:`BatchedEngine` (reuses its transpose)."""
+        """View onto a :class:`BatchedEngine`."""
         single = engine.algorithm == "single"
-        view = cls(
+        return cls(
             adjacency=engine.adjacency,
             ell_max=engine.ell_max,
             floor=-engine.ell_max if single else np.zeros_like(engine.ell_max),
             channels=1 if single else 2,
             kernel=getattr(engine, "kernel", None),
         )
-        view._adj_t = getattr(engine, "_adj_t", None)
-        return view
 
     @classmethod
     def from_policy(
@@ -149,10 +150,6 @@ class StructureView:
             adjacency = getattr(engine, "adjacency", None)
             if adjacency is not None:
                 self.adjacency = adjacency
-        if self._adj_t is None:
-            adj_t = getattr(engine, "_adj_t", None)
-            if adj_t is not None:
-                self._adj_t = adj_t
         if self.kernel is None:
             kernel = getattr(engine, "kernel", None)
             if kernel is not None:
@@ -182,31 +179,9 @@ class StructureView:
             self.kernel = HearKernel(structure)
         return self.kernel
 
-    def _built_adjacency(self) -> Any:
-        if self.adjacency is None:
-            if self.graph is None:
-                raise ValueError("StructureView has neither adjacency nor graph")
-            self.adjacency = structure_for(self.graph).csr
-        return self.adjacency
-
     def hear(self, active: npt.NDArray[np.bool_]) -> npt.NDArray[np.bool_]:
         """Vertices with ≥ 1 active neighbor (bool, kernel-delegated)."""
         return self._built_kernel().hear(active)
-
-    def hear_rows(self, rows: npt.NDArray[np.bool_]) -> npt.NDArray[np.bool_]:
-        """Row-wise :meth:`hear` over an ``(R', n)`` block."""
-        return self._built_kernel().hear_rows(rows)
-
-    def received(self, vec: npt.NDArray[np.int32]) -> npt.NDArray[np.int32]:
-        """Neighbor-count transport (back-compat; prefer :meth:`hear`)."""
-        return self._built_adjacency().dot(vec)
-
-    def received_rows(self, rows: npt.NDArray[np.int32]) -> npt.NDArray[np.int32]:
-        """Row-block counts (back-compat; prefer :meth:`hear_rows`)."""
-        if self._adj_t is None:
-            self._adj_t = self._built_adjacency().transpose().tocsr()
-        cols = np.ascontiguousarray(rows.T)
-        return np.ascontiguousarray(self._adj_t.dot(cols).T)
 
 
 #: Run-level instrument handles per registry — finalize runs once per
@@ -245,18 +220,6 @@ def _mis_disjoint_from_dominated(view: StructureView) -> bool:
     so the split saves the union pass; the degenerate case falls back.
     """
     return bool(view.ell_max.min() > 0)
-
-
-def _row_counts(mask: npt.NDArray[np.bool_]) -> npt.NDArray[np.int32]:
-    """Per-row popcount of a boolean matrix.
-
-    ``einsum`` over the int8 view with an int32 accumulator beats
-    ``mask.sum(axis=1)`` by ~2x at batched-row sizes, and this runs
-    several times per observed round.
-    """
-    if mask.flags.c_contiguous:
-        return np.einsum("ij->i", mask.view(np.int8), dtype=np.int32)
-    return mask.sum(axis=1, dtype=np.int32)
 
 
 def _beep_counts(out: BeepObservation) -> List[int]:
@@ -455,14 +418,16 @@ class RunCollector:
 
 
 class BatchedCollector:
-    """Per-replica Section-3 series from one matmul pass per round.
+    """Per-replica Section-3 series of a batched run, read from its columns.
 
-    The structural masks of *all* active replicas are computed together
-    on the ``(R', n)`` level block — the same two sparse products the
-    batched legality check already needs, shared with it — and fan out
-    into one record per (replica, round).  Replica ``k``'s series is
-    bit-identical to a solo :class:`RunCollector` on the solo run seeded
-    with child ``k`` (asserted by ``tests/test_observability.py``).
+    The batched run loop computes the legality masks of *all* live
+    replicas together and counts each round's columns from them (see
+    :func:`repro.core.kernels.structure_columns`); this collector reads
+    those columns and fans them out into one record per (replica,
+    round), in the step loop's order: round-major, then ascending
+    replica.  Replica ``k``'s series is bit-identical to a solo
+    :class:`RunCollector` on the solo run seeded with child ``k``
+    (asserted by ``tests/test_observability.py``).
     """
 
     def __init__(
@@ -493,20 +458,14 @@ class BatchedCollector:
         self.peak_level_bytes = 0
         self._round = -1
         self._beep_total_arr = np.zeros((replicas, view.channels), dtype=np.int64)
-        # Column stash of the current round's structure observation,
-        # aligned to the observed (sorted) replica list.  Records are
-        # materialized in one pass in :meth:`observe_beeps`, which also
+        # The current round's structure columns, sorted by replica id.
+        # Records are materialized in :meth:`observe_beeps`, which also
         # drops the columns of replicas that retired before stepping.
-        self._active: Optional[List[int]] = None
-        self._active_arr: Optional[npt.NDArray[np.int64]] = None
+        self._active: Optional[npt.NDArray[np.intp]] = None
+        self._columns: Optional[npt.NDArray[np.int32]] = None
+        self._legal: Optional[npt.NDArray[np.bool_]] = None
+        self._hists: Optional[List[List[List[int]]]] = None
         self._emit = False
-        self._col_i: Optional[npt.NDArray[np.int32]] = None
-        self._col_s: Optional[npt.NDArray[np.int32]] = None
-        self._col_p: Optional[npt.NDArray[np.int32]] = None
-        self._col_legal: Optional[npt.NDArray[np.bool_]] = None
-        self._col_hists: Optional[List[List[List[int]]]] = None
-        self._col_beeps2: Optional[npt.NDArray[np.int32]] = None
-        self._s_disjoint = _mis_disjoint_from_dominated(view)
         self._hist_offset = int(view.floor.min())
         self._hist_span = int(view.ell_max.max()) - self._hist_offset + 1
 
@@ -516,106 +475,82 @@ class BatchedCollector:
         return self._beep_total_arr.tolist()
 
     # ------------------------------------------------------------------
+    def attach(self, engine: Any) -> None:
+        """Bind to the batched engine about to run.
+
+        Adopts its channel state (:meth:`StructureView.adopt_engine`)
+        and records the size of its ``(R, n)`` level matrix.
+        """
+        self.view.adopt_engine(engine)
+        self.peak_level_bytes = max(self.peak_level_bytes, int(engine.levels.nbytes))
+
     def observe_structure(
         self,
-        levels: npt.NDArray[np.int64],
-        active_idx: npt.NDArray[np.int64],
-    ) -> npt.NDArray[np.bool_]:
-        """Observe the active replicas' rows; returns their legality.
+        replicas: npt.NDArray[np.intp],
+        levels: npt.NDArray[np.int32],
+        columns: npt.NDArray[np.int32],
+        legal: npt.NDArray[np.bool_],
+    ) -> None:
+        """Stash one round's start-of-round columns.
 
-        ``levels`` is the engine's full ``(R, n)`` matrix; ``active_idx``
-        selects the still-running replicas.  The returned boolean vector
-        (one entry per active replica, in ``active_idx`` order) equals
-        ``BatchedEngine._legal_rows`` on the same rows — the run loop
-        uses it for retirement so legality is evaluated exactly once.
+        ``replicas`` lists the live replica ids in any order; ``levels``
+        (their rows), ``columns`` (``i_size``, ``s_size``, ``prominent``
+        and, for two channels, channel-2 beeps — one row each) and
+        ``legal`` are aligned to it.  All of them are the caller's
+        scratch, so everything kept is copied here.
         """
-        view = self.view
         self._round += 1
-        round_index = self._round
-        self.peak_level_bytes = max(self.peak_level_bytes, int(levels.nbytes))
-        active_arr = np.asarray(active_idx)
-        # Skip the fancy-index copy while every replica is still running
-        # (the common early rounds) — all downstream uses only read.
-        rows = levels if active_arr.size == levels.shape[0] else levels[active_arr]
-        blocked = view.hear_rows(rows != view.ell_max)
-        in_mis = (rows == view.floor) & ~blocked
-        dominated = view.hear_rows(in_mis)
-        others_ok = (rows == view.ell_max) & dominated
-        legal_rows = np.all(in_mis | others_ok, axis=1)
-
-        self._active = active_arr.tolist()
-        self._active_arr = active_arr
-        self._emit = round_index % self.every == 0
+        order = np.argsort(replicas)
+        self._active = replicas[order]
+        self._emit = self._round % self.every == 0
+        self._columns = columns[:, order]
         if self._emit:
-            # Stash columns; records are materialized in observe_beeps()
-            # once the stepped replicas (observed minus retired) are
-            # known.  Everything is evaluated eagerly — ``rows`` may
-            # alias the engine's level matrix, which mutates on step.
-            self._col_i = _row_counts(in_mis)
-            self._col_s = (
-                self._col_i + _row_counts(dominated)
-                if self._s_disjoint
-                else _row_counts(in_mis | dominated)
-            )
-            self._col_p = _row_counts(rows <= 0)
-            self._col_legal = legal_rows
+            self._legal = legal[order]
             if self.level_hist:
-                self._col_hists = [
-                    _level_histogram(row, self._hist_offset, self._hist_span)
-                    for row in rows
+                self._hists = [
+                    _level_histogram(levels[j], self._hist_offset, self._hist_span)
+                    for j in order.tolist()
                 ]
-        if view.channels == 2:
-            self._col_beeps2 = _row_counts(rows == 0)
-        return legal_rows
 
     def observe_beeps(
-        self,
-        beep1_rows: npt.NDArray[np.bool_],
-        stepped_idx: npt.NDArray[np.int64],
+        self, replicas: npt.NDArray[np.intp], counts: npt.NDArray[np.int32]
     ) -> None:
         """Complete records for the replicas that were actually stepped.
 
-        Channel-2 transmissions are deterministic given the start-of-round
-        levels (``beep2 = (ℓ == 0)``) and were counted during
-        :meth:`observe_structure`; only channel 1 needs the step output.
+        ``counts`` holds each stepped replica's channel-1 transmissions,
+        aligned to ``replicas`` (any order).  Channel-2 transmissions are
+        deterministic given the start-of-round levels (``ℓ == 0``) and
+        came with the structure columns.
         """
-        active, active_arr = self._active, self._active_arr
-        if active is None or active_arr is None:
+        active, columns = self._active, self._columns
+        if active is None or columns is None:
             raise RuntimeError("observe_beeps() without observe_structure()")
-        stepped_arr = np.asarray(stepped_idx)
-        stepped = stepped_arr.tolist()
-        if stepped == active:
-            pos: Optional[npt.NDArray[np.int64]] = None
-        else:
-            # Replicas that retired this round were observed but not
-            # stepped; map the stepped subset back to column positions
-            # (both index lists are sorted — nonzero() output).
-            if active_arr.size == 0:
-                raise RuntimeError("observe_beeps() for an unobserved replica")
-            pos = np.searchsorted(active_arr, stepped_arr)
-            clipped = np.minimum(pos, active_arr.size - 1)
-            if not bool(np.array_equal(active_arr[clipped], stepped_arr)):
-                raise RuntimeError("observe_beeps() for an unobserved replica")
-
-        counts1 = _row_counts(beep1_rows)
+        order = np.argsort(replicas)
+        stepped = replicas[order]
+        counts1 = counts[order]
+        # Replicas that retired this round were observed but not
+        # stepped; keep the stepped columns (both id lists are sorted).
+        pos = np.searchsorted(active, stepped)
+        if pos.size and (
+            pos[-1] >= active.size or not np.array_equal(active[pos], stepped)
+        ):
+            raise RuntimeError("observe_beeps() for an unobserved replica")
+        if stepped.size != active.size:
+            columns = columns[:, pos]
         totals = self._beep_total_arr
-        totals[stepped_arr, 0] += counts1
+        totals[stepped, 0] += counts1
         two_channel = self.view.channels == 2
         if two_channel:
-            beeps2 = self._col_beeps2
-            counts2 = beeps2 if pos is None else beeps2[pos]
-            totals[stepped_arr, 1] += counts2
+            totals[stepped, 1] += columns[3]
 
         if self._emit:
-            pick = (lambda col: col) if pos is None else (lambda col: col[pos])
-            i_list = pick(self._col_i).tolist()
-            s_list = pick(self._col_s).tolist()
-            p_list = pick(self._col_p).tolist()
-            legal_list = pick(self._col_legal).tolist()
+            legal = self._legal if stepped.size == active.size else self._legal[pos]
+            i_list, s_list, p_list = columns[:3].tolist()
+            legal_list = legal.tolist()
             c1 = counts1.tolist()
-            c2 = counts2.tolist() if two_channel else None
-            hists = self._col_hists
-            if hists is not None and pos is not None:
+            c2 = columns[3].tolist() if two_channel else None
+            hists = self._hists
+            if hists is not None and stepped.size != active.size:
                 hists = [hists[j] for j in pos.tolist()]
             labels = self.labels
             rep_key = self.rep_key
@@ -623,7 +558,7 @@ class BatchedCollector:
             records = self.records
             sink = self.sink
             channels_state = self.view.channels_state
-            for k, replica in enumerate(stepped):
+            for k, replica in enumerate(stepped.tolist()):
                 record: Dict[str, Any] = labels.copy()
                 record[rep_key] = replica
                 record["round"] = round_index
@@ -642,9 +577,10 @@ class BatchedCollector:
                 if sink is not None:
                     sink.emit(record)
         self._active = None
-        self._active_arr = None
+        self._columns = None
+        self._legal = None
+        self._hists = None
         self._emit = False
-        self._col_hists = None
 
     def finalize_replica(self, replica: int, stabilized: bool, rounds: int) -> None:
         """Registry aggregates for one retired replica."""

@@ -355,6 +355,40 @@ def test_batched_two_channel_beep2_counts():
         assert solo.series("beeps") == batched.series("beeps", k)
 
 
+@pytest.mark.parametrize("variant", ("max_degree", "two_channel"))
+def test_fused_batched_series_bit_identical_to_solo(variant):
+    """At R = 16 the observed batched run takes the fused kernel."""
+    graph = gen.erdos_renyi_mean_degree(24, 4.0, seed=11)
+    policy = policy_for_variant(graph, variant)
+    two = variant == "two_channel"
+    children = np.random.SeedSequence(31).spawn(16)
+    batched = BatchedCollector(
+        StructureView.from_policy(graph, policy, two_channel=two),
+        replicas=len(children),
+    )
+    result = simulate_batched(
+        graph,
+        policy,
+        seed_sequences=children,
+        algorithm="two_channel" if two else "single",
+        arbitrary_start=True,
+        collector=batched,
+    )
+    assert (result.round_path, result.fallback_reason) == ("fused_packed", None)
+    solo_run = simulate_two_channel if two else simulate_single
+    for k, child in enumerate(children):
+        solo = _solo_collector(graph, policy, two_channel=two)
+        solo_run(
+            graph,
+            policy,
+            seed=np.random.default_rng(child),
+            arbitrary_start=True,
+            collector=solo,
+        )
+        for column in ("i_size", "s_size", "prominent", "legal", "beeps"):
+            assert solo.series(column) == batched.series(column, k), (k, column)
+
+
 # ======================================================================
 # Zero perturbation + executor-identical records: the sweep paths
 # ======================================================================
@@ -398,6 +432,30 @@ def test_sweep_metrics_zero_perturbation_across_executors():
     # Records carry the config labels and repetition index.
     first = streams[0][0]
     assert first["family"] in ("er", "cycle") and "rep" in first and "round" in first
+
+
+def test_sweep_metrics_fused_batched_records_match_serial():
+    """R = 16: the batched executor's observed cells run fused_packed."""
+    streams = {}
+    for executor in ("serial", "batched"):
+        observed = run_sweep(
+            SWEEP_CONFIGS,
+            MEASURE,
+            repetitions=16,
+            master_seed=5,
+            executor=executor,
+            metrics=MetricsOptions(),
+        )
+        snapshot = observed.metrics.registry.snapshot()
+        # peak_level_bytes differs by design: (n,) int64 solo levels vs
+        # the (R, n) int32 batched block.
+        streams[executor] = (
+            _samples(observed),
+            observed.metrics.records,
+            snapshot["counters"],
+            snapshot["histograms"],
+        )
+    assert streams["batched"] == streams["serial"]
 
 
 def test_sweep_metrics_requires_observed_measurement():

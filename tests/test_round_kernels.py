@@ -318,6 +318,8 @@ def test_stressed_batched_run_reports_reason_and_builds_no_kernel(
 
 
 def test_collector_batched_run_reports_reason_and_builds_no_kernel(monkeypatch):
+    # A collector no longer vetoes the fused path; a channel still does,
+    # with or without one attached.
     import repro.core.engines.batched as batched_mod
     from repro.obs import BatchedCollector, StructureView
 
@@ -325,15 +327,16 @@ def test_collector_batched_run_reports_reason_and_builds_no_kernel(monkeypatch):
         raise AssertionError("round kernel constructed")
 
     monkeypatch.setattr(batched_mod, "get_round_kernel", forbidden)
-    engine = _batched(16)
+    engine = _batched(16, channel="lossy:0.05")
     collector = BatchedCollector(
         StructureView.from_policy(engine.graph, policy_for_variant(engine.graph, "own_degree")),
         replicas=16,
     )
     result = engine.run(max_rounds=50_000, collector=collector)
     assert result.round_path == "step"
-    assert result.fallback_reason == "collector"
+    assert result.fallback_reason == "channel"
     assert engine._round_kernel is None
+    assert collector.records
 
 
 def test_misaligned_cursor_is_reported():
@@ -365,3 +368,98 @@ def test_solo_runs_report_their_round_path():
     engine, series = run("fused_packed", record_series=True)
     assert (series.round_path, series.fallback_reason) == ("step", "record_series")
     assert engine._round_kernel is None
+
+
+# ----------------------------------------------------------------------
+# Observed batched runs: the collector reads the fused kernel's columns
+# ----------------------------------------------------------------------
+def _observed_run(algorithm, replicas, round_kernel, *, every=1,
+                  level_hist=False, check_every=1, max_rounds=50_000,
+                  observe=True):
+    from repro.obs import BatchedCollector, MetricsRegistry, StructureView
+
+    graph = _graph(48, seed=5)
+    two = algorithm == "two_channel"
+    policy = policy_for_variant(graph, "two_channel" if two else "own_degree")
+    engine = BatchedEngine(
+        graph, policy, replicas=replicas, seed=29, algorithm=algorithm,
+        round_kernel=round_kernel,
+    )
+    engine.randomize_levels()
+    registry = MetricsRegistry()
+    collector = (
+        BatchedCollector(
+            StructureView.from_policy(graph, policy, two_channel=two),
+            replicas=replicas, labels={"cell": 0}, registry=registry,
+            every=every, level_hist=level_hist,
+        )
+        if observe
+        else None
+    )
+    result = engine.run(
+        max_rounds=max_rounds, check_every=check_every, collector=collector
+    )
+    return engine, result, collector, registry
+
+
+def _assert_observed_identity(step, fused):
+    (_, ref, ref_col, ref_reg), (_, got, got_col, got_reg) = step, fused
+    assert (ref.round_path, ref.fallback_reason) == ("step", None)
+    assert (got.round_path, got.fallback_reason) == ("fused_packed", None)
+    assert got_col.records == ref_col.records
+    assert got_reg.snapshot() == ref_reg.snapshot()
+    assert got_col.beep_totals == ref_col.beep_totals
+    assert [r.rounds for r in got] == [r.rounds for r in ref]
+    assert [r.stabilized for r in got] == [r.stabilized for r in ref]
+    for mine, theirs in zip(got, ref):
+        assert mine.mis == theirs.mis
+        np.testing.assert_array_equal(mine.final_levels, theirs.final_levels)
+
+
+@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
+@pytest.mark.parametrize("replicas", (16, 64, 77))
+@pytest.mark.parametrize("every", (1, 3))
+@pytest.mark.parametrize("level_hist", (False, True))
+@pytest.mark.parametrize("check_every", (1, 4))
+def test_observed_fused_run_matches_the_observed_step_loop(
+    algorithm, replicas, every, level_hist, check_every
+):
+    kwargs = dict(every=every, level_hist=level_hist, check_every=check_every)
+    step = _observed_run(algorithm, replicas, None, **kwargs)
+    fused = _observed_run(algorithm, replicas, "auto", **kwargs)
+    _assert_observed_identity(step, fused)
+    # Observation moves no generator: every replica's stream sits where
+    # the bare fused run leaves it.  (The step loop pre-draws in blocks of
+    # its own, so its generators run further ahead on either path.)
+    bare_engine, bare, _, _ = _observed_run(
+        algorithm, replicas, "auto", check_every=check_every, observe=False
+    )
+    assert [r.rounds for r in bare] == [r.rounds for r in fused[1]]
+    assert [rng.bit_generator.state for rng in fused[0].rngs] == [
+        rng.bit_generator.state for rng in bare_engine.rngs
+    ]
+
+
+@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
+def test_observed_fused_run_matches_at_budget_exhaustion(algorithm):
+    kwargs = dict(level_hist=True, check_every=4, max_rounds=6)
+    step = _observed_run(algorithm, 64, None, **kwargs)
+    fused = _observed_run(algorithm, 64, "auto", **kwargs)
+    _assert_observed_identity(step, fused)
+    assert not fused[1].stabilized.all()
+    assert {r["round"] for r in fused[2].records} == set(range(6))
+
+
+@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
+def test_observed_packed_run_never_takes_the_csr_hear(monkeypatch, algorithm):
+    # Both legality hears see ``live`` rows, so an observed fused_packed
+    # run (two-channel included) hears through packed words only.
+    from repro.core.kernels import HearKernel
+
+    def forbidden(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("CSR hear_rows called")
+
+    monkeypatch.setattr(HearKernel, "hear_rows", forbidden)
+    _, result, collector, _ = _observed_run(algorithm, 64, "fused_packed")
+    assert result.round_path == "fused_packed"
+    assert collector.records
