@@ -14,9 +14,11 @@ Bit-identical equivalence contract
 All engines draw exactly ``n`` uniforms per round via a single
 ``rng.random(n)`` call, in node order, and a vertex beeps iff
 ``u < p(ℓ)`` with the same double-precision ``p`` as the reference
-engine.  Hence, for the same seed and initial levels, trajectories are
-*identical* across engines — asserted by
-``tests/test_engine_equivalence.py`` and ``tests/test_batched_engine.py``.
+engine (decided exactly from the exponent bits of ``u`` by
+:meth:`~repro.core.kernels.BeepTable.decide`).  Hence, for the same
+seed and initial levels, trajectories are *identical* across engines —
+asserted by ``tests/test_engine_equivalence.py`` and
+``tests/test_batched_engine.py``.
 """
 
 from __future__ import annotations
@@ -316,18 +318,15 @@ class EngineBase:
             else np.zeros_like(self.ell_max)
         )
         # Per-round scratch (the hot-path allocation contract,
-        # docs/performance.md): the uniform-draw buffer and the float64
-        # activation scratch are bound once here and refilled in place
-        # every round by the subclass ``step`` implementations.
+        # docs/performance.md): the uniform-draw buffer and the beep
+        # decision's threshold and ℓmax-mask scratch are bound once here
+        # and refilled in place every round by the subclass ``step``.
         self._draws: npt.NDArray[np.float64] = np.empty(
             self.n, dtype=np.float64
         )
-        self._pfloat: npt.NDArray[np.float64] = np.empty(
-            self.n, dtype=np.float64
-        )
-        self._p_idx: npt.NDArray[np.intp] = np.empty(self.n, dtype=np.intp)
+        self._thr = BeepTable.threshold_scratch((self.n,))
         self._below: npt.NDArray[np.bool_] = np.empty(self.n, dtype=bool)
-        self._p_table = BeepTable(self.ell_max)
+        self._p_table = BeepTable.checked(self.ell_max)
         # Optional fused-round tier (docs/performance.md, "Fused round
         # tier"): eligible runs delegate the whole loop to a RoundKernel
         # in :meth:`until_stable`.  The resolved name is pinned here; the
@@ -388,7 +387,7 @@ class EngineBase:
             if policy.num_vertices != structure.n:
                 raise ValueError("policy size does not match structure size")
             self.ell_max = np.asarray(policy.ell_max, dtype=np.int64)
-            self._p_table = BeepTable(self.ell_max)
+            self._p_table = BeepTable.checked(self.ell_max)
         elif structure.n != self.n:
             raise ValueError(
                 "rebind across a vertex-id-space change requires a policy"
@@ -410,8 +409,7 @@ class EngineBase:
             levels[:old_n] = old_levels
             self.levels = levels
             self._draws = np.empty(self.n, dtype=np.float64)
-            self._pfloat = np.empty(self.n, dtype=np.float64)
-            self._p_idx = np.empty(self.n, dtype=np.intp)
+            self._thr = BeepTable.threshold_scratch((self.n,))
             self._below = np.empty(self.n, dtype=bool)
         # Stress models follow the id space: scheduler clocks/carriers
         # re-bind on growth, the channel (counters included) carries over.

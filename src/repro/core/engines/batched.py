@@ -185,23 +185,10 @@ class BatchedEngine:
         )
         self._ell_max32 = self.ell_max.astype(np.int32)
         self._floor32 = self._floor.astype(np.int32)
-        # Round-scratch buffers, reused every step: the uniform draws,
-        # the hear output (two channels stack beep1/beep2, hence 2R rows),
-        # and the level-update intermediates.  Only the beep matrix is
-        # freshly allocated per round — it escapes to collectors.
-        self._draws = np.empty((self.replicas, self.n), dtype=np.float64)
-        self._heard = np.empty((2 * self.replicas, self.n), dtype=bool)
-        self._stack = (
-            None
-            if self._single
-            else np.empty((2 * self.replicas, self.n), dtype=bool)
-        )
-        self._up = np.empty((self.replicas, self.n), dtype=np.int32)
-        self._down = np.empty((self.replicas, self.n), dtype=np.int32)
-        self._sel = np.empty((self.replicas, self.n), dtype=np.int32)
-        self._p_idx = np.empty((self.replicas, self.n), dtype=np.intp)
-        self._p_buf = np.empty((self.replicas, self.n), dtype=np.float64)
         self._neg_ell_max = -self._ell_max32
+        # The step loop's round scratch (see ``_bind_step_scratch``) is
+        # bound by its first use: runs on the fused tier never touch it.
+        self._step_scratch_bound = False
         # Per-replica block pre-draw: each replica's uniforms are pulled
         # from its own generator ``_draw_block`` rounds at a time, then
         # served round by round from ``_blocks``.  A replica only ever
@@ -233,12 +220,36 @@ class BatchedEngine:
         self._columns = np.empty(
             (3 if self._single else 4, self.replicas), dtype=np.int32
         )
-        self._p_table = BeepTable(self._ell_max32)
+        self._p_table = BeepTable.checked(self._ell_max32)
         # Fused-round tier: eligible runs delegate the retirement loop to
         # a round kernel.  The choice is pinned here; the first eligible
         # run builds the kernel, so other runs never allocate it.
         self._round_plan = plan_round_kernel(round_kernel, self.replicas)
         self._round_kernel: Optional[RoundKernel] = None
+
+    def _bind_step_scratch(self) -> None:  # repro: cold
+        """Bind the step loop's round scratch at the current ``n``.
+
+        Reused every step: the uniform draws, the hear output (two
+        channels stack beep1/beep2, hence 2R rows), the beep-decision
+        thresholds and the level-update intermediates.  Only the beep
+        matrix is freshly allocated per round — it escapes to
+        collectors.  Runs once, on the step loop's first use (and again
+        on a rebind that changes ``n``).
+        """
+        shape = (self.replicas, self.n)
+        self._draws = np.empty(shape, dtype=np.float64)
+        self._heard = np.empty((2 * self.replicas, self.n), dtype=bool)
+        self._stack = (
+            None
+            if self._single
+            else np.empty((2 * self.replicas, self.n), dtype=bool)
+        )
+        self._thr = BeepTable.threshold_scratch(shape)
+        self._up = np.empty(shape, dtype=np.int32)
+        self._down = np.empty(shape, dtype=np.int32)
+        self._sel = np.empty(shape, dtype=np.int32)
+        self._step_scratch_bound = True
 
     # ------------------------------------------------------------------
     # Topology rebinding (mirrors EngineBase.rebind, all replicas at once)
@@ -291,7 +302,7 @@ class BatchedEngine:
         self._floor32 = self._floor.astype(np.int32)
         self._neg_ell_max = -self._ell_max32
         if policy is not None:
-            self._p_table = BeepTable(self._ell_max32)
+            self._p_table = BeepTable.checked(self._ell_max32)
         self._round_kernel = None
         self._mis_scratch = None
         if self.n != old_n:
@@ -299,18 +310,8 @@ class BatchedEngine:
             levels = np.ones((self.replicas, n), dtype=np.int32)
             levels[:, :old_n] = self.levels
             self.levels = levels
-            self._draws = np.empty((self.replicas, n), dtype=np.float64)
-            self._heard = np.empty((2 * self.replicas, n), dtype=bool)
-            self._stack = (
-                None
-                if self._single
-                else np.empty((2 * self.replicas, n), dtype=bool)
-            )
-            self._up = np.empty((self.replicas, n), dtype=np.int32)
-            self._down = np.empty((self.replicas, n), dtype=np.int32)
-            self._sel = np.empty((self.replicas, n), dtype=np.int32)
-            self._p_idx = np.empty((self.replicas, n), dtype=np.intp)
-            self._p_buf = np.empty((self.replicas, n), dtype=np.float64)
+            if self._step_scratch_bound:
+                self._bind_step_scratch()
             self._draw_block = max(1, 16384 // max(1, n))
             self._blocks = np.empty(
                 (self.replicas, self._draw_block, n), dtype=np.float64
@@ -491,6 +492,8 @@ class BatchedEngine:
         k = active_idx.size
         if k == 0:
             return np.zeros((0, self.n), dtype=bool)
+        if not self._step_scratch_bound:
+            self._bind_step_scratch()
 
         # With every replica still active the level block is the stored
         # matrix itself (no gather); otherwise a fancy-index copy.
@@ -525,14 +528,14 @@ class BatchedEngine:
         if self._single:
             # The hear output doubles as the ℓmax-mask scratch: the step
             # writes it only after the beep decision.
-            p = self._p_table.lookup(
-                levels, self._p_buf[:k], self._p_idx[:k], self._heard[:k]
+            beep1 = np.empty((k, self.n), dtype=bool)
+            self._p_table.decide(
+                levels, draws, beep1, self._thr[:k], self._heard[:k]
             )
-            beeps = draws < p
             row_masks = (
-                self._gate_rows(beeps, None, active_idx) if stressed else []
+                self._gate_rows(beep1, None, active_idx) if stressed else []
             )
-            heard = self.kernel.hear_rows(beeps, out=self._heard[:k])
+            heard = self.kernel.hear_rows(beep1, out=self._heard[:k])
             if stressed:
                 self._perturb_rows(heard, None, active_idx)
             # Branch-free select chain, lowest priority first (matches
@@ -547,7 +550,7 @@ class BatchedEngine:
             np.subtract(levels, 1, out=new_levels)
             np.maximum(new_levels, 1, out=new_levels)
             np.subtract(self._neg_ell_max, new_levels, out=sel)
-            np.multiply(sel, beeps, out=sel)
+            np.multiply(sel, beep1, out=sel)
             np.add(new_levels, sel, out=new_levels)
             np.subtract(up, new_levels, out=sel)
             np.multiply(sel, heard, out=sel)
@@ -563,11 +566,11 @@ class BatchedEngine:
                 self.levels, self._down = self._down, self.levels
             else:
                 self.levels[active_idx] = new_levels
-            beep1 = beeps
         else:
-            p1 = self._p_table.lookup(levels, self._p_buf[:k], self._p_idx[:k])
             active_band = (levels > 0) & (levels < self._ell_max32)
-            beep1 = active_band & (draws < p1)
+            beep1 = active_band & self._p_table.decide(
+                levels, draws, self._heard[:k], self._thr[:k]
+            )
             beep2 = levels == 0
             row_masks = (
                 self._gate_rows(beep1, beep2, active_idx) if stressed else []
@@ -654,6 +657,8 @@ class BatchedEngine:
                 )
             reason = "misaligned_cursor"
 
+        if not self._step_scratch_bound:
+            self._bind_step_scratch()
         results: List[Optional[VectorizedResult]] = [None] * self.replicas
         active = np.ones(self.replicas, dtype=bool)
         active_idx = np.arange(self.replicas)

@@ -31,11 +31,15 @@ class SingleChannelEngine(EngineBase):
     def beep_probabilities(self) -> npt.NDArray[np.float64]:
         """The Figure-1 activation applied elementwise to the levels.
 
-        A :class:`~repro.core.kernels.BeepTable` lookup into the reused
-        ``_pfloat`` scratch, which the next call overwrites.
+        A fresh array from the :class:`~repro.core.kernels.BeepTable`
+        reference lookup; :meth:`step` decides beeps without it.
         """
+        shape = self.levels.shape
         return self._p_table.lookup(
-            self.levels, self._pfloat, self._p_idx, self._below
+            self.levels,
+            np.empty(shape),
+            np.empty(shape, dtype=np.intp),
+            np.empty(shape, dtype=bool),
         )
 
     def step(self) -> npt.NDArray[np.bool_]:
@@ -49,7 +53,8 @@ class SingleChannelEngine(EngineBase):
         """
         draws = self._draws
         self.rng.random(out=draws)
-        beeps = draws < self.beep_probabilities()
+        beeps = np.empty(self.n, dtype=bool)
+        self._p_table.decide(self.levels, draws, beeps, self._thr, self._below)
         active = None
         if not self._ideal:
             stress = self._stress

@@ -35,9 +35,10 @@ class TwoChannelEngine(EngineBase):
         """
         draws = self._draws
         self.rng.random(out=draws)
-        p1 = self._p_table.lookup(self.levels, self._pfloat, self._p_idx)
         active = (self.levels > 0) & (self.levels < self.ell_max)
-        beep1 = active & (draws < p1)
+        beep1 = active & self._p_table.decide(
+            self.levels, draws, self._below, self._thr
+        )
         beep2 = self.levels == 0
         firing = None
         if not self._ideal:

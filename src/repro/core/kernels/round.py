@@ -16,16 +16,19 @@ block of replicas, behind a named registry:
   word (replica-major: one word per vertex); hearing is a CSR gather +
   segmented ``bitwise_or`` over words, and the per-round legality prune
   is an AND-reduction over words — 64 replicas advance per word
-  operation.  Levels stay as int32 planes (the arithmetic blend is
-  exact there and memory-bound either way).
+  operation.
+
+Both backends run the levels on the narrowest exact plane — int8 up to
+ℓmax = 63, int16 above — and decide beeps with
+:meth:`BeepTable.decide`, which never builds a probability array.
 
 Byte-identity contract
 ----------------------
 Every backend reproduces the engines' trajectories **bit for bit**: the
 random draw layout is unchanged (one ``Generator.random(out=)`` fill of
 ``n`` doubles per replica per round, served through the same
-contiguous-prefix block discipline as the batched engine), beep
-probabilities come from the same ``np.power`` values, hear masks equal
+contiguous-prefix block discipline as the batched engine), beeps come
+from the one exact :meth:`BeepTable.decide` test, hear masks equal
 ``(A @ beeps) > 0`` exactly, and the level select is the same integer
 blend the batched engine uses.  Per-row ``rounds``/``mis``/
 ``final_levels`` equal the step-loop results element for element —
@@ -63,9 +66,10 @@ stay byte-identical.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, List, Optional, Protocol, Sequence, Tuple, Type,
+    Any, Dict, FrozenSet, List, Optional, Protocol, Sequence, Tuple, Type,
 )
 
 import numpy as np
@@ -97,14 +101,35 @@ __all__ = [
 ROUND_ALGORITHMS = ("single", "two_channel", "constant_state")
 
 #: Exponent clip for 2^(−ℓ): ℓmax = O(log n) ≤ 60 at any simulable
-#: scale, and clipping avoids float overflow on extreme inputs.
+#: scale, and clipping avoids float overflow on extreme inputs.  Also the
+#: largest ℓmax the engines accept (:meth:`BeepTable.checked`).
 MAX_EXPONENT = 1023
+
+#: The float64 exponent bias past the 4 mantissa bits of a top int16
+#: word: ``u < 2^−ℓ`` iff that word is below ``_THRESHOLD_BASE − 16·ℓ``
+#: (see :meth:`BeepTable.decide`).
+_THRESHOLD_BASE = 16 * 1023
+
+#: The beep thresholds' dtype, also the draws' view for the test: the
+#: thresholds span [0, 32736] and never reach a matvec.
+_THRESHOLD_DTYPE = np.int16  # repro: allow[RPR302] in [0, 32736], never a matvec operand
+
+#: Index of a float64's top int16 word (sign, exponent, 4 mantissa bits)
+#: in its int16 view.
+_TOP = 3 if sys.byteorder == "little" else 0
 
 #: ``round_kernel="auto"`` picks ``fused_packed`` from this many replicas
 #: up and the engines' step loop below it.  A conservative pick: the
 #: measured crossover lies between 8 and 12 replicas on ER at n = 2^14
 #: (``docs/performance.md``, "Fused round tier").
 AUTO_PACKED_MIN_REPLICAS = 16
+
+#: Largest ℓmax whose level planes are int8: blend intermediates reach
+#: ±2ℓmax, and 2·63 = 126 ≤ 127.
+_INT8_MAX_ELL = 63
+
+#: A level block: the engines' int32, or a kernel's int8/int16 plane.
+LevelPlane = npt.NDArray[np.signedinteger[Any]]
 
 #: Bit weights of one packed byte: replica ``8·j + b`` is bit ``b`` of
 #: byte ``j`` of a vertex's words (little-endian words and bit order).
@@ -116,7 +141,8 @@ class BlockOutcome:
     """Per-replica outcome of a fused block run.
 
     ``final_levels`` is a fresh copy taken at the replica's retirement
-    round: int32 for the level algorithms, bool for the two-state
+    round: int32 for the level algorithms (whatever the kernel's plane
+    dtype), bool for the two-state
     baseline.  Engines convert at their own dtype boundary.
     """
 
@@ -124,6 +150,13 @@ class BlockOutcome:
     rounds: int
     mis: FrozenSet[int] = field(default_factory=frozenset)
     final_levels: Optional[np.ndarray] = None
+
+
+def _int32_copy(row: np.ndarray) -> npt.NDArray[np.int32]:
+    """A retirement copy of a narrow level row, cast on store to int32."""
+    out = np.empty(row.shape, dtype=np.int32)
+    np.copyto(out, row)
+    return out
 
 
 class RoundObserver(Protocol):
@@ -136,7 +169,7 @@ class RoundObserver(Protocol):
     def observe_structure(
         self,
         replicas: npt.NDArray[np.intp],
-        levels: npt.NDArray[np.int32],
+        levels: LevelPlane,
         columns: npt.NDArray[np.int32],
         legal: npt.NDArray[np.bool_],
     ) -> None:
@@ -160,7 +193,7 @@ def row_counts(
 
 
 def structure_columns(
-    levels: npt.NDArray[np.int32],
+    levels: LevelPlane,
     in_mis: npt.NDArray[np.bool_],
     dominated: npt.NDArray[np.bool_],
     scratch: npt.NDArray[np.bool_],
@@ -187,14 +220,15 @@ def structure_columns(
 class BeepTable:
     """The Figure-1 channel-1 activation, for every ℓmax policy.
 
-    ``p`` is a pure function of ``(ℓ, ℓmax_v)``: ``table[ℓ + L]`` over
-    ``L = max ℓmax`` holds 1.0 for ℓ ≤ 0, ``2^−min(ℓ, MAX_EXPONENT)``
-    above and 0.0 at ℓ = L, from the same ``np.power`` call as the direct
-    ``clip → negate → power`` formula, so probabilities are bit-identical.
-    Single-channel lookups pass a ``below`` scratch to silence ℓ ≥ ℓmax_v
-    under non-uniform policies; two-channel lookups pass none (the
-    activity band ``0 < ℓ < ℓmax_v`` masks those entries).  ``ell_max``
-    must have the levels' dtype so that compare needs no cast.
+    ``p`` is a pure function of ``(ℓ, ℓmax_v)``: 1 for ℓ ≤ 0,
+    ``2^−min(ℓ, MAX_EXPONENT)`` for 0 < ℓ < ℓmax_v, and 0 at ℓ = ℓmax_v.
+    :meth:`decide` makes the engines' beep decision ``u < p`` straight
+    from the bits of ``u`` — exactly, with no float64 probability array.
+    ``table[ℓ + L]`` over ``L = max ℓmax`` holds the probabilities
+    themselves, from the same ``np.power`` call as the direct
+    ``clip → negate → power`` formula, as the reference :meth:`lookup`
+    reads.  ``ell_max`` must have the levels' dtype so that compares need
+    no cast.  Engines build their table with :meth:`checked`.
     """
 
     __slots__ = ("table", "offset", "ell_max", "uniform")
@@ -209,20 +243,70 @@ class BeepTable:
         self.ell_max = ell
         self.uniform = ell.size == 0 or int(ell.min()) == top
 
+    @classmethod
+    def checked(cls, ell_max: npt.ArrayLike) -> "BeepTable":
+        """A table whose :meth:`decide` is exact: max ℓmax ≤ MAX_EXPONENT.
+
+        The activation clips at ``2^−MAX_EXPONENT``; past it the
+        exponent test no longer matches ``u < p``, so the vectorized
+        engines refuse such a policy.  ℓmax = O(log n) never gets near.
+        """
+        table = cls(ell_max)
+        if table.offset > MAX_EXPONENT:
+            raise ValueError(
+                f"ell_max {table.offset} exceeds {MAX_EXPONENT}, the largest "
+                "exponent the vectorized beep decision handles exactly"
+            )
+        return table
+
+    @staticmethod
+    def threshold_scratch(shape: Tuple[int, ...]) -> np.ndarray:
+        """A scratch for :meth:`decide`'s ``thr``, shaped like the levels."""
+        return np.empty(shape, dtype=_THRESHOLD_DTYPE)
+
+    def decide(
+        self,
+        levels: np.ndarray,
+        draws: npt.NDArray[np.float64],
+        out: npt.NDArray[np.bool_],
+        thr: np.ndarray,
+        below: Optional[npt.NDArray[np.bool_]] = None,
+    ) -> npt.NDArray[np.bool_]:
+        """Fill ``out`` with the beep decision ``draws < p(levels)``.
+
+        Exact for uniforms ``0 ≤ u < 1`` and ℓmax ≤ MAX_EXPONENT: a
+        non-negative double lies below ``2^−ℓ`` (1 ≤ ℓ ≤ 1022) iff its
+        biased exponent ``E`` is below ``1023 − ℓ``, i.e. iff its top 16
+        bits (sign 0, ``E``, 4 mantissa bits: ``16·E + m``) are below
+        ``16368 − 16·ℓ``.  For ℓ ≤ 0 that bound is ≥ 16368, above every
+        ``u < 1`` (``E ≤ 1022``), matching ``p = 1``.  ``p = 0`` at
+        ℓ = ℓmax_v is the caller's mask: single-channel calls pass a
+        ``below`` scratch (``ℓ < ℓmax_v``); two-channel calls pass none
+        and AND in their activity band ``0 < ℓ < ℓmax_v``.  ``thr`` is a
+        :meth:`threshold_scratch` shaped like ``levels``; ``draws`` may be
+        strided across rows but must be contiguous along each row.
+        """
+        np.multiply(levels, -16, out=thr, dtype=_THRESHOLD_DTYPE)
+        np.add(thr, _THRESHOLD_BASE, out=thr)
+        np.less(draws.view(_THRESHOLD_DTYPE)[..., _TOP::4], thr, out=out)
+        if below is not None:
+            np.less(levels, self.ell_max, out=below)
+            np.logical_and(out, below, out=out)
+        return out
+
     def lookup(
         self, levels: np.ndarray, p: npt.NDArray[np.float64], idx: np.ndarray,
         below: Optional[npt.NDArray[np.bool_]] = None,
     ) -> npt.NDArray[np.float64]:
         """Fill ``p`` with the activation of ``levels`` and return it.
 
-        ``idx``/``below`` are caller scratch shaped like ``levels``;
-        ``idx`` must be ``np.intp``, or ``take`` allocates a converted
-        copy of it on every call.
+        The reference the tests hold :meth:`decide` to; no round path
+        builds ``p``.  ``idx``/``below`` are caller scratch shaped like
+        ``levels``; ``idx`` must be ``np.intp``.  ``below`` silences
+        ℓ ≥ ℓmax_v under non-uniform policies.
         """
         np.add(levels, self.offset, out=idx)
-        # Levels are invariants of the dynamics, so indices are always in
-        # range; mode="clip" skips the bounds pass, and the default
-        # mode="raise" would also copy ``p`` on every call.
+        # Indices are always in range; mode="raise" would copy ``p``.
         np.take(self.table, idx, out=p, mode="clip")
         if below is not None and not self.uniform:
             np.less(levels, self.ell_max, out=below)
@@ -432,24 +516,42 @@ class RoundKernel:
         self._hear = HearKernel(structure)
         if self._constant:
             self.ell_max = None
-            self._ell32 = None
-            self._floor32 = None
-            self._neg_ell32 = None
+            self._ell = None
+            self._floor = None
+            self._neg_ell = None
+            self._one = None
             self._p_table: Optional[BeepTable] = None
         else:
             self.ell_max = np.asarray(ell_max, dtype=np.int64)
             if self.ell_max.shape not in ((), (n,)):
                 raise ValueError(f"ell_max must be scalar or shape ({n},)")
+            # Narrow level planes: every level and blend intermediate lies
+            # in [−2ℓmax, 2ℓmax], so int8 holds them all up to ℓmax = 63
+            # and int16 up to MAX_EXPONENT.  The planes never reach a
+            # matvec; only bool masks are heard.
+            top = int(self.ell_max.max()) if self.ell_max.size else 0
+            plane = np.int8 if top <= _INT8_MAX_ELL else np.int16  # repro: allow[RPR302] |blend| ≤ 2ℓmax, never a matvec operand
             floor = (
                 -self.ell_max if self._single else np.zeros_like(self.ell_max)
             )
-            self._ell32 = self.ell_max.astype(np.int32)
-            self._floor32 = floor.astype(np.int32)
-            self._neg_ell32 = -self._ell32
-            self._p_table = BeepTable(self._ell32)
+            # Row-shaped operands: numpy's min/max loops vectorize
+            # against a vector but not against a broadcast scalar (~20×
+            # slower on int8 planes), hence ``_one`` for ``max(ℓ − 1, 1)``.
+            self._ell = np.broadcast_to(self.ell_max, (n,)).astype(plane)
+            self._floor = np.broadcast_to(floor, (n,)).astype(plane)
+            self._neg_ell = -self._ell
+            self._one = np.ones(n, dtype=plane)
+            self._p_table = BeepTable.checked(self._ell)
+            # The working level block (cast from the caller's int32 on
+            # entry), the blend scratch and the beep thresholds.
+            # ``_plane`` is the single channel's ping-pong partner and
+            # the two-channel select scratch.
+            self._levels = np.empty((k, n), dtype=plane)
+            self._plane = np.empty((k, n), dtype=plane)
+            self._up = np.empty((k, n), dtype=plane)
+            self._sel = np.empty((k, n), dtype=plane)
+            self._thr = BeepTable.threshold_scratch((k, n))
         # ---- per-round scratch, bound once (hot-path contract) -------
-        self._p_buf = np.empty((k, n), dtype=np.float64)
-        self._p_idx = np.empty((k, n), dtype=np.intp)
         self._beeps = np.empty((k, n), dtype=bool)
         self._mask_a = np.empty((k, n), dtype=bool)
         self._mask_b = np.empty((k, n), dtype=bool)
@@ -458,9 +560,6 @@ class RoundKernel:
         self._stack = (
             np.empty((2 * k, n), dtype=bool) if self._two else None
         )
-        self._up = np.empty((k, n), dtype=np.int32)
-        self._sel = np.empty((k, n), dtype=np.int32)
-        self._plane = np.empty((k, n), dtype=np.int32)
         self._cand = np.empty(k, dtype=bool)
         self._row_any = np.empty(k, dtype=bool)
         # Observed runs: the Section-3 columns and channel-1 beep counts.
@@ -495,6 +594,9 @@ class RoundKernel:
     ) -> Tuple[List[BlockOutcome], int]:
         """Drive a ``(k, n)`` int32 level block to per-row legality.
 
+        The block is cast once onto the kernel's narrow plane; the
+        observer, if any, sees that plane's rows.
+
         Mirrors the engines' run loops exactly: legality is observed
         before stepping at rounds ``0, check_every, 2·check_every, …``
         plus once at budget exhaustion, so each row's ``rounds`` equals
@@ -517,7 +619,10 @@ class RoundKernel:
         perm = np.arange(k)
         live = k
         self._begin_run(k)
-        cur = levels
+        # One cast onto the narrow plane; the caller's block is rebuilt
+        # from the int32 retirement copies on exit.
+        cur = self._levels[:k]
+        np.copyto(cur, levels)
         nxt = self._plane[:k]
         executed = 0
         masks_fresh = False
@@ -541,7 +646,7 @@ class RoundKernel:
                         stabilized=False,
                         rounds=executed,
                         mis=frozenset(),
-                        final_levels=cur[i].copy(),
+                        final_levels=_int32_copy(cur[i]),
                     )
                 break
             if self._single:
@@ -556,9 +661,10 @@ class RoundKernel:
                 )
             masks_fresh = True
             executed += 1
-        # Compaction permuted the block rows (and the single channel may
-        # have ended on the scratch plane); every replica's ground truth
-        # is its recorded copy.  One pass, once per run.
+        # The narrow working rows are permuted by compaction (and the
+        # single channel may have ended on the scratch plane); every
+        # replica's ground truth is its recorded int32 copy.  One pass,
+        # once per run.
         for r in range(k):
             np.copyto(levels[r], outcomes[r].final_levels)
         return outcomes, executed  # type: ignore[return-value]
@@ -568,7 +674,7 @@ class RoundKernel:
     # ------------------------------------------------------------------
     def _candidate_rows(
         self,
-        cur: npt.NDArray[np.int32],
+        cur: LevelPlane,
         masks_fresh: bool,
     ) -> npt.NDArray[np.bool_]:
         """Live rows worth the full legality test (necessary prune).
@@ -583,8 +689,8 @@ class RoundKernel:
         k = cur.shape[0]
         eq = self._mask_a[:k]
         other = self._mask_b[:k]
-        np.equal(cur, self._floor32, out=eq)
-        np.equal(cur, self._ell32, out=other)
+        np.equal(cur, self._floor, out=eq)
+        np.equal(cur, self._ell, out=other)
         np.logical_or(eq, other, out=eq)
         cand = self._cand[:k]
         np.all(eq, axis=1, out=cand)
@@ -592,7 +698,7 @@ class RoundKernel:
 
     def _observe_legal(
         self,
-        cur: npt.NDArray[np.int32],
+        cur: LevelPlane,
         replicas: npt.NDArray[np.intp],
         observer: RoundObserver,
     ) -> Tuple[npt.NDArray[np.bool_], npt.NDArray[np.bool_]]:
@@ -606,15 +712,15 @@ class RoundKernel:
         """
         k = cur.shape[0]
         ne = self._mask_a[:k]
-        np.not_equal(cur, self._ell32, out=ne)
+        np.not_equal(cur, self._ell, out=ne)
         free = self._hear_block(ne, self._heard[:k])
         np.logical_not(free, out=free)
         in_mis = self._beeps[:k]
-        np.equal(cur, self._floor32, out=in_mis)
+        np.equal(cur, self._floor, out=in_mis)
         np.logical_and(in_mis, free, out=in_mis)
         dominated = self._hear_block(in_mis, self._heard[:k])
         ok = self._mask_a[:k]
-        np.equal(cur, self._ell32, out=ok)
+        np.equal(cur, self._ell, out=ok)
         np.logical_and(ok, dominated, out=ok)
         np.logical_or(ok, in_mis, out=ok)
         legal = self._cand[:k]
@@ -627,7 +733,7 @@ class RoundKernel:
 
     def _retire_legal(
         self,
-        cur: npt.NDArray[np.int32],
+        cur: LevelPlane,
         live: int,
         perm: npt.NDArray[np.intp],
         outcomes: List[Optional[BlockOutcome]],
@@ -659,11 +765,11 @@ class RoundKernel:
             # shaped by the candidate count and cannot be preallocated.
             idx = np.flatnonzero(cand)
             rows = cur[idx]
-            ne = rows != self._ell32
+            ne = rows != self._ell
             blocked = self._hear.hear_rows(ne)
-            in_mis = (rows == self._floor32) & ~blocked
+            in_mis = (rows == self._floor) & ~blocked
             dominated = self._hear.hear_rows(in_mis)
-            ok = in_mis | ((rows == self._ell32) & dominated)
+            ok = in_mis | ((rows == self._ell) & dominated)
             legal = np.all(ok, axis=1)
         else:
             legal, in_mis = verdict
@@ -676,7 +782,7 @@ class RoundKernel:
                 stabilized=True,
                 rounds=executed,
                 mis=frozenset(np.flatnonzero(in_mis[jj]).tolist()),
-                final_levels=cur[j].copy(),
+                final_levels=_int32_copy(cur[j]),
             )
             last = live - 1
             if j != last:
@@ -699,14 +805,14 @@ class RoundKernel:
 
     def _step_single(
         self,
-        cur: npt.NDArray[np.int32],
-        nxt: npt.NDArray[np.int32],
+        cur: LevelPlane,
+        nxt: LevelPlane,
         k: int,
     ) -> None:
         """One Algorithm-1 round, writing the new levels into ``nxt``.
 
         Operation for operation the batched engine's ideal-path step:
-        the same p-table lookup, the same ``draws < p`` beep decision,
+        the same :meth:`BeepTable.decide` beep decision,
         the same hear booleans, and the same branch-free integer blend
         ``x + (y − x)·mask`` for ``where(heard, up, where(beeps, −ℓmax,
         down))`` — hence bit-identical trajectories.
@@ -714,24 +820,22 @@ class RoundKernel:
         draws = self._serve()[:k]
         up = self._up[:k]
         np.add(cur, 1, out=up)
-        np.minimum(up, self._ell32, out=up)
-        p = self._p_table.lookup(
-            cur, self._p_buf[:k], self._p_idx[:k], self._mask_a[:k]
+        np.minimum(up, self._ell, out=up)
+        beeps = self._p_table.decide(
+            cur, draws, self._beeps[:k], self._thr[:k], self._mask_a[:k]
         )
-        beeps = self._beeps[:k]
-        np.less(draws, p, out=beeps)
         heard = self._hear_block(beeps, self._heard[:k])
         np.subtract(cur, 1, out=nxt)
-        np.maximum(nxt, 1, out=nxt)
+        np.maximum(nxt, self._one, out=nxt)
         sel = self._sel[:k]
-        np.subtract(self._neg_ell32, nxt, out=sel)
+        np.subtract(self._neg_ell, nxt, out=sel)
         np.multiply(sel, beeps, out=sel)
         np.add(nxt, sel, out=nxt)
         np.subtract(up, nxt, out=sel)
         np.multiply(sel, heard, out=sel)
         np.add(nxt, sel, out=nxt)
 
-    def _step_two(self, cur: npt.NDArray[np.int32], k: int) -> None:
+    def _step_two(self, cur: LevelPlane, k: int) -> None:
         """One Algorithm-2 round, updating ``cur`` in place.
 
         Both channels' beeps are stacked into one hear call (as on the
@@ -745,16 +849,14 @@ class RoundKernel:
         draws = self._serve()[:k]
         up = self._up[:k]
         np.add(cur, 1, out=up)
-        np.minimum(up, self._ell32, out=up)
-        p1 = self._p_table.lookup(cur, self._p_buf[:k], self._p_idx[:k])
+        np.minimum(up, self._ell, out=up)
         band = self._mask_a[:k]
         hi = self._mask_b[:k]
         np.greater(cur, 0, out=band)
-        np.less(cur, self._ell32, out=hi)
+        np.less(cur, self._ell, out=hi)
         np.logical_and(band, hi, out=band)
         stacked = self._stack[: 2 * k]
-        beep1 = stacked[:k]
-        np.less(draws, p1, out=beep1)
+        beep1 = self._p_table.decide(cur, draws, stacked[:k], self._thr[:k])
         np.logical_and(beep1, band, out=beep1)
         beep2 = stacked[k:]
         np.equal(cur, 0, out=beep2)
@@ -763,7 +865,7 @@ class RoundKernel:
         heard2 = heard[k:]
         down = self._sel[:k]
         np.subtract(cur, 1, out=down)
-        np.maximum(down, 1, out=down)
+        np.maximum(down, self._one, out=down)
         not_beep2 = self._mask_b[:k]
         np.logical_not(beep2, out=not_beep2)
         # ``beep2`` is exactly ``cur == 0``, so keeping level 0 there
@@ -775,7 +877,7 @@ class RoundKernel:
         np.subtract(up, cur, out=sel)
         np.multiply(sel, heard1, out=sel)
         np.add(cur, sel, out=cur)
-        np.subtract(self._ell32, cur, out=sel)
+        np.subtract(self._ell, cur, out=sel)
         np.multiply(sel, heard2, out=sel)
         np.add(cur, sel, out=cur)
 
@@ -925,7 +1027,7 @@ class FusedPackedRoundKernel(RoundKernel):
     only be legal if every vertex beeped or heard (legal configurations
     are exactly the fixed points), which is one AND-reduction over the
     ``(n, W)`` word array instead of three passes over the ``(k, n)``
-    int32 planes.
+    level planes.
 
     The two-state baseline has no batched engine (k = 1), so this
     backend inherits the unpacked constant-state path — with one replica
@@ -1067,7 +1169,7 @@ class FusedPackedRoundKernel(RoundKernel):
 
     def _candidate_rows(
         self,
-        cur: npt.NDArray[np.int32],
+        cur: LevelPlane,
         masks_fresh: bool,
     ) -> npt.NDArray[np.bool_]:
         """Word-parallel prune on the last step's beep/heard words.
@@ -1077,7 +1179,7 @@ class FusedPackedRoundKernel(RoundKernel):
         ``beeped | heard`` at *every* vertex (two-channel: on either
         channel).  That necessary condition is one AND-reduction over
         the packed word array — 64 replicas per word op — and rows
-        failing it skip the int32 prune entirely.  When only a handful
+        failing it skip the level prune entirely.  When only a handful
         of rows survive (the typical near-convergence round), the
         level condition is confirmed row by row instead of over the
         whole live block.  Sound prunes don't change verdicts: the
@@ -1104,7 +1206,7 @@ class FusedPackedRoundKernel(RoundKernel):
         np.bitwise_and(covered, self._alive_words, out=covered)
         if not covered.any():
             # The common pre-convergence round: four word ops, no
-            # unpack, no pass over the int32 level planes.
+            # unpack, no pass over the level planes.
             cand = self._cand[:k]
             cand[:] = False
             return cand
@@ -1125,8 +1227,8 @@ class FusedPackedRoundKernel(RoundKernel):
         other = self._mask_b[0]
         for i in idx.tolist():
             row = cur[i]
-            np.equal(row, self._floor32, out=eq)
-            np.equal(row, self._ell32, out=other)
+            np.equal(row, self._floor, out=eq)
+            np.equal(row, self._ell, out=other)
             np.logical_or(eq, other, out=eq)
             cand[i] = bool(eq.all())
         return cand

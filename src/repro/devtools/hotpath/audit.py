@@ -21,6 +21,10 @@ retirement bookkeeping — while sitting orders of magnitude below one
 fresh ``(n,)`` float64 vector per round, the smallest regression the
 rules guard against.
 
+A second gate sizes the round state itself: :func:`run_peak_audit`
+traces one fused batched block at sweep scale and reports its **peak
+bytes per replica·vertex** against :data:`PEAK_THRESHOLD_BYTES`.
+
 Consumed by ``repro check --sanitize``
 (:func:`repro.devtools.sanitize.check_hotpath_allocation_audit`), the
 ``REPRO_SANITIZE=1`` pytest gate, and ``benchmarks/_harness.py``
@@ -38,9 +42,12 @@ import numpy as np
 
 __all__ = [
     "ComboAudit",
+    "PeakAudit",
     "DEFAULT_THRESHOLD_BYTES",
+    "PEAK_THRESHOLD_BYTES",
     "THRESHOLD_OVERRIDES",
     "run_allocation_audit",
+    "run_peak_audit",
     "allocation_summary",
 ]
 
@@ -71,6 +78,16 @@ THRESHOLD_OVERRIDES: Dict[str, float] = {}
 #: The hear kernel every engine runs, named in the combo labels.
 _KERNEL = "sparse_int32"
 
+#: Traced peak bytes per replica·vertex allowed for one fused batched
+#: block (:func:`run_peak_audit`).  The run state measures ~26 B: the
+#: engine's int32 levels (4), one round of float64 draws (8), the
+#: kernel's int8 level planes (4), masks (4) and int16 thresholds (2),
+#: and the packing scratch.  The results add ~27 B: an int32
+#: final-level copy and a frozenset MIS per replica.  The float64
+#: probability and intp index planes the threshold test replaced (16 B)
+#: would fail it, as would the step loop's eagerly bound scratch (~38 B).
+PEAK_THRESHOLD_BYTES = 64.0
+
 
 @dataclass(frozen=True)
 class ComboAudit:
@@ -91,6 +108,66 @@ class ComboAudit:
             f"[{status}] {self.combo}: {self.bytes_per_round:+.1f} B/round "
             f"(threshold {self.threshold:.0f})"
         )
+
+
+@dataclass(frozen=True)
+class PeakAudit:
+    """One batched block's traced peak memory per replica·vertex."""
+
+    combo: str
+    bytes_per_replica_vertex: float
+    threshold: float
+
+    @property
+    def ok(self) -> bool:
+        return self.bytes_per_replica_vertex <= self.threshold
+
+    def format(self) -> str:
+        status = "ok" if self.ok else "FAIL"
+        return (
+            f"[{status}] {self.combo}: {self.bytes_per_replica_vertex:.1f} "
+            f"B/replica·vertex peak (threshold {self.threshold:.0f})"
+        )
+
+
+def run_peak_audit(n: int = 2 ** 14, replicas: int = 64) -> PeakAudit:
+    """Trace the peak of one ``simulate_batched`` block, per replica·vertex.
+
+    The sweep-scale block: ``er`` at ``n`` vertices, ``replicas``
+    replicas, the ``max_degree`` policy and an arbitrary start, on the
+    default ``auto`` path (``fused_packed`` from 16 replicas).  The graph,
+    policy and ``GraphStructure`` are built before tracing starts, so the
+    window holds exactly what the run allocates: engine, kernel, draws
+    and results.
+    """
+    from ...core.engines.batched import simulate_batched
+    from ...core.kernels import structure_for
+    from ...core.runner import policy_for_variant
+    from ...graphs.generators import by_name
+
+    graph = by_name("er", n, seed=_AUDIT_SEED)
+    policy = policy_for_variant(graph, "max_degree")
+    structure_for(graph)
+    gc.collect()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = simulate_batched(
+            graph, policy, replicas=replicas, seed=_AUDIT_SEED,
+            arbitrary_start=True,
+        )
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return PeakAudit(
+        combo=f"peak:er n={n} R={replicas}×{result.round_path}",
+        bytes_per_replica_vertex=peak / (replicas * n),
+        threshold=PEAK_THRESHOLD_BYTES,
+    )
 
 
 def _audit_graph() -> Any:
@@ -365,11 +442,16 @@ def allocation_summary(
     """JSON-ready audit summary for the ``BENCH_*.json`` envelope."""
     if results is None:
         results = run_allocation_audit()
+    peak = run_peak_audit()
     return {
         "bytes_per_round": {
             r.combo: round(r.bytes_per_round, 1) for r in results
         },
         "threshold_bytes": {r.combo: r.threshold for r in results},
         "rounds": results[0].rounds if results else 0,
-        "ok": all(r.ok for r in results),
+        "peak_bytes_per_replica_vertex": {
+            peak.combo: round(peak.bytes_per_replica_vertex, 1)
+        },
+        "peak_threshold_bytes": peak.threshold,
+        "ok": all(r.ok for r in results) and peak.ok,
     }

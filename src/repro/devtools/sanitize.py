@@ -436,18 +436,24 @@ def check_hotpath_allocation_audit() -> SanitizerResult:
     Drives every engine combo past warmup and asserts the net
     retained bytes/round between two gc-fenced ``tracemalloc`` snapshots
     stays under the documented threshold
-    (:data:`repro.devtools.hotpath.audit.DEFAULT_THRESHOLD_BYTES`).
+    (:data:`repro.devtools.hotpath.audit.DEFAULT_THRESHOLD_BYTES`).  Then
+    traces one sweep-scale fused batched block and asserts its peak per
+    replica·vertex stays under
+    :data:`repro.devtools.hotpath.audit.PEAK_THRESHOLD_BYTES`.
     """
-    from .hotpath.audit import run_allocation_audit
+    from .hotpath.audit import run_allocation_audit, run_peak_audit
 
     with watchdog(120.0):
         results = run_allocation_audit()
-    failures = [r for r in results if not r.ok]
+        peak = run_peak_audit()
+    failures = [r.format() for r in results if not r.ok]
+    if not peak.ok:
+        failures.append(peak.format())
     if failures:
         return SanitizerResult(
             name="hotpath-allocation-audit",
             ok=False,
-            detail="; ".join(r.format() for r in failures),
+            detail="; ".join(failures),
         )
     worst = max(results, key=lambda r: r.bytes_per_round)
     return SanitizerResult(
@@ -456,7 +462,7 @@ def check_hotpath_allocation_audit() -> SanitizerResult:
         detail=(
             f"{len(results)} combo(s) at steady state; worst "
             f"{worst.combo} {worst.bytes_per_round:+.1f} B/round "
-            f"(threshold {worst.threshold:.0f})"
+            f"(threshold {worst.threshold:.0f}); {peak.format()}"
         ),
     )
 

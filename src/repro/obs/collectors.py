@@ -235,9 +235,13 @@ def _beep_counts(out: BeepObservation) -> List[int]:
 
 
 def _level_histogram(
-    levels: npt.NDArray[np.int64], floor_min: int, span: int
+    levels: npt.NDArray[np.signedinteger[Any]], floor_min: int, span: int
 ) -> List[List[int]]:
-    counts = np.bincount(levels - floor_min, minlength=span)
+    # Shift in intp: a round kernel's int8/int16 level plane would wrap
+    # (or reject ``floor_min``) in its own dtype.
+    counts = np.bincount(
+        np.subtract(levels, floor_min, dtype=np.intp), minlength=span
+    )
     return [
         [int(level + floor_min), int(count)]
         for level, count in enumerate(counts)
@@ -487,7 +491,7 @@ class BatchedCollector:
     def observe_structure(
         self,
         replicas: npt.NDArray[np.intp],
-        levels: npt.NDArray[np.int32],
+        levels: npt.NDArray[np.signedinteger[Any]],
         columns: npt.NDArray[np.int32],
         legal: npt.NDArray[np.bool_],
     ) -> None:

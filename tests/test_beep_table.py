@@ -1,12 +1,14 @@
-"""The shared beep table against the direct ``clip → negate → power`` chain.
+"""The shared beep decision against the direct ``clip → negate → power`` chain.
 
-Every engine and round kernel now draws its channel-1 probabilities from
-one :class:`repro.core.kernels.BeepTable` lookup, for every ℓmax policy.
-The oracle below is a verbatim copy of the chain the engines used before
-(and that non-uniform policies still used): the tests check the two give
-the same probabilities element for element, and that patching the oracle
-back into every round path leaves level trajectories, MIS, rounds and
-the generators' post-run state unchanged.
+Every engine and round kernel decides its channel-1 beeps with one
+:meth:`repro.core.kernels.BeepTable.decide` call, for every ℓmax policy:
+an integer test on the exponent bits of the draw, with no probability
+array.  The oracle below is a verbatim copy of the chain the engines used
+before the table existed: the tests check the table's probabilities and
+the threshold test against it element for element (adversarial draws
+included), and that patching the oracle back into every round path
+leaves level trajectories, MIS, rounds and the generators' post-run state
+unchanged.
 """
 
 import numpy as np
@@ -43,14 +45,14 @@ def _oracle(levels, ell_max, single):
 
 @pytest.fixture
 def oracle_lookup(monkeypatch):
-    """Swap every table lookup for the oracle chain (per algorithm)."""
+    """Swap every beep decision for ``draws < p`` on the oracle chain."""
 
     def install(single):
-        def lookup(self, levels, p, idx, below=None):
-            np.copyto(p, _oracle(levels, self.ell_max, single))
-            return p
+        def decide(self, levels, draws, out, thr, below=None):
+            np.less(draws, _oracle(levels, self.ell_max, single), out=out)
+            return out
 
-        monkeypatch.setattr(BeepTable, "lookup", lookup)
+        monkeypatch.setattr(BeepTable, "decide", decide)
 
     return install
 
@@ -105,6 +107,84 @@ def test_table_probabilities_equal_oracle(ell_max):
         band = (levels2 > 0) & (levels2 < ell)
         want2 = _oracle(levels2, ell, single=False)
         assert two[band].tobytes() == want2[band].tobytes()
+
+
+def _adversarial_draws(p):
+    """Uniforms in [0, 1) at and around the probability ``p``."""
+    candidates = (
+        0.0, 2.0 ** -53, np.nextafter(p, 0.0), p, np.nextafter(p, 1.0),
+        1.0 - 2.0 ** -53,
+    )
+    return [u for u in candidates if 0.0 <= u < 1.0]
+
+
+def _decision_cases(ell_max, single):
+    """Every (ℓmax_v, ℓ, u) triple over each vertex's level range."""
+    ell_v, levels, draws = [], [], []
+    for top in ell_max:
+        low = -top if single else 0
+        for level in range(low, top + 1):
+            p = _oracle(np.array([level]), np.array([top]), single)[0]
+            for u in _adversarial_draws(p):
+                ell_v.append(top)
+                levels.append(level)
+                draws.append(u)
+    return np.array(ell_v), np.array(levels), np.array(draws)
+
+
+def _level_dtypes(top):
+    """Every level dtype that holds ±top: the kernels' narrow planes,
+    the batched engine's int32 and the solo engines' int64."""
+    small = (np.int8,) if top <= 63 else ()
+    return small + (np.int16, np.int32, np.int64)
+
+
+@pytest.mark.parametrize("single", (True, False), ids=("single", "two_channel"))
+@pytest.mark.parametrize("uniform", (True, False), ids=("uniform", "mixed"))
+@pytest.mark.parametrize("top", list(range(1, 65)) + [1023])
+def test_decide_equals_the_oracle_chain(top, uniform, single):
+    ell_max = [top] if uniform else sorted({1, max(1, top // 2), top})
+    ell_v, levels, draws = _decision_cases(ell_max, single)
+    want = draws < _oracle(levels, ell_v, single)
+    if not single:
+        want &= (levels > 0) & (levels < ell_v)
+    # The draws as one contiguous row, and as the row-strided view that
+    # block pre-draws hand the kernels.
+    block = np.zeros((2, 3, draws.size))
+    block[:, 1] = draws
+    for served in (draws[None, :], block[:, 1]):
+        shape = served.shape
+        for dtype in _level_dtypes(top):
+            table = BeepTable.checked(ell_v.astype(dtype))
+            lv = np.broadcast_to(levels.astype(dtype), shape).copy()
+            below = np.empty(shape, dtype=bool) if single else None
+            got = table.decide(
+                lv, served, np.empty(shape, dtype=bool),
+                BeepTable.threshold_scratch(shape), below,
+            )
+            if not single:
+                got &= (lv > 0) & (lv < table.ell_max)
+            for row in got:
+                np.testing.assert_array_equal(row, want, err_msg=str(dtype))
+
+
+def test_engines_reject_ell_max_beyond_the_exact_range():
+    assert BeepTable.checked([MAX_EXPONENT]).offset == MAX_EXPONENT
+    with pytest.raises(ValueError, match="1024"):
+        BeepTable.checked([3, MAX_EXPONENT + 1])
+    graph = _graph(12, seed=1)
+    policy = explicit_policy([MAX_EXPONENT + 1] * graph.num_vertices)
+    for build in (
+        lambda: SingleChannelEngine(graph, policy, seed=0),
+        lambda: TwoChannelEngine(graph, policy, seed=0),
+        lambda: BatchedEngine(graph, policy, replicas=2, seed=0),
+        lambda: get_round_kernel(
+            "fused_packed", structure_for(graph), algorithm="single",
+            ell_max=policy.ell_max, replicas=2,
+        ),
+    ):
+        with pytest.raises(ValueError, match="exceeds"):
+            build()
 
 
 def test_table_is_sized_by_max_ell_and_flags_uniform():

@@ -33,8 +33,10 @@ from repro.devtools.hotpath import (
 )
 from repro.devtools.hotpath.audit import (
     DEFAULT_THRESHOLD_BYTES,
+    PEAK_THRESHOLD_BYTES,
     allocation_summary,
     run_allocation_audit,
+    run_peak_audit,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -444,6 +446,31 @@ def test_allocation_audit_catches_a_seeded_leak(monkeypatch):
     assert measured > DEFAULT_THRESHOLD_BYTES
 
 
+def test_peak_audit_of_a_fused_block_is_under_threshold():
+    peak = run_peak_audit()
+    assert peak.combo == "peak:er n=16384 R=64×fused_packed"
+    assert peak.threshold == PEAK_THRESHOLD_BYTES == 64.0
+    assert peak.ok, peak.format()
+
+
+def test_peak_audit_catches_wide_round_planes(monkeypatch):
+    """Float64 probability + intp index planes must blow the threshold."""
+    import numpy as np
+
+    from repro.core.kernels import RoundKernel
+
+    init = RoundKernel.__init__
+
+    def wide_init(self, structure, **kwargs):
+        init(self, structure, **kwargs)
+        shape = (self.replicas, self.n)
+        self._wide = (np.empty(shape), np.empty(shape, dtype=np.intp))
+
+    monkeypatch.setattr(RoundKernel, "__init__", wide_init)
+    peak = run_peak_audit()
+    assert not peak.ok, peak.format()
+
+
 @pytest.mark.skipif(
     not _SANITIZE, reason="full audit grid runs under REPRO_SANITIZE=1"
 )
@@ -474,6 +501,8 @@ def test_bench_envelope_embeds_the_allocation_audit(tmp_path, monkeypatch):
     # 5 engine combos on the one hear kernel + 6 fused-round combos + 2
     # observed fused-round combos.
     assert len(allocation["bytes_per_round"]) == 13
+    [peak] = allocation["peak_bytes_per_replica_vertex"].values()
+    assert peak <= allocation["peak_threshold_bytes"] == PEAK_THRESHOLD_BYTES
     opt_out = harness.save_bench_rows(
         "hotpath_audit_test2", [{"n": 8}], audit_allocations=False
     )

@@ -463,3 +463,51 @@ def test_observed_packed_run_never_takes_the_csr_hear(monkeypatch, algorithm):
     _, result, collector, _ = _observed_run(algorithm, 64, "fused_packed")
     assert result.round_path == "fused_packed"
     assert collector.records
+
+
+# ----------------------------------------------------------------------
+# Narrow level planes: int8 up to ℓmax = 63, int16 above
+# ----------------------------------------------------------------------
+def _boundary_run(algorithm, ell_max, round_kernel):
+    from repro.core.knowledge import uniform_policy
+    from repro.obs import BatchedCollector, MetricsRegistry, StructureView
+
+    # n > 8192: the engine pre-draws one round per refill, so the step
+    # loop's generators stop exactly where the fused run's do.
+    graph = by_name("er", 8200, seed=1)
+    policy = uniform_policy(graph, ell_max)
+    engine = BatchedEngine(
+        graph, policy, replicas=8, seed=3, algorithm=algorithm,
+        round_kernel=round_kernel,
+    )
+    engine.randomize_levels()
+    registry = MetricsRegistry()
+    collector = BatchedCollector(
+        StructureView.from_policy(
+            graph, policy, two_channel=algorithm == "two_channel"
+        ),
+        replicas=8, labels={"cell": 0}, registry=registry, level_hist=True,
+    )
+    result = engine.run(max_rounds=50_000, collector=collector)
+    return engine, result, collector, registry
+
+
+@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
+@pytest.mark.parametrize("ell_max, plane", ((63, np.int8), (64, np.int16)))
+def test_narrow_planes_match_the_step_loop_at_the_dtype_boundary(
+    algorithm, ell_max, plane
+):
+    step = _boundary_run(algorithm, ell_max, None)
+    fused = _boundary_run(algorithm, ell_max, "fused_packed")
+    assert fused[0]._round_kernel._levels.dtype == plane
+    _assert_observed_identity(step, fused)
+    assert all(r.final_levels.dtype == np.int32 for r in fused[1])
+    assert fused[0].levels.dtype == np.int32
+    np.testing.assert_array_equal(fused[0].levels, step[0].levels)
+    assert [rng.bit_generator.state for rng in fused[0].rngs] == [
+        rng.bit_generator.state for rng in step[0].rngs
+    ]
+    # The histograms span the plane's whole range without wrapping.
+    levels = {level for r in fused[2].records for level, _ in r["level_hist"]}
+    floor = -ell_max if algorithm == "single" else 0
+    assert (min(levels), max(levels)) == (floor, ell_max)
